@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -23,7 +24,6 @@ from .model import SourceText, Table
 
 DEFAULT_CONSISTENCY_THRESHOLD = 0.8
 
-_EDGE_PUNCT = string.punctuation
 _BRACKET_PAIRS = {")": "(", "]": "[", "}": "{"}
 _OPENERS = set(_BRACKET_PAIRS.values())
 _DANGLING_RE = re.compile(r"\d[,.]$")
@@ -177,147 +177,61 @@ def detect_entity_type(
     return None
 
 
-def _entity_findings(
+def check_column(
     texts: Sequence[str],
     col: int,
-    entity: EntityType,
-) -> tuple[list[Violation], set[tuple[int, int]], set[tuple[int, int]]]:
-    consistent: set[tuple[int, int]] = set()
-    mismatched: list[tuple[int, str]] = []
-    for r, text in enumerate(texts):
-        if not text.strip():
-            continue
-        if entity.matches(text):
-            consistent.add((r, col))
-        else:
-            mismatched.append((r, text))
-    violations = []
-    if mismatched:
-        where = "; ".join(f"row {r}: {text!r}" for r, text in mismatched)
-        violations.append(
-            Violation(
-                Rule.INCONSISTENT_COLUMN,
-                row=None,
-                col=col,
-                detail=f"column {col} reads as {entity.kind} but mismatches {where}",
-            )
-        )
-    return violations, consistent, {(r, col) for r, _ in mismatched}
-
-
-def _signature_findings(
-    texts: Sequence[str],
-    col: int,
-    threshold: float,
-) -> tuple[list[Violation], set[tuple[int, int]], set[tuple[int, int]]]:
-    present = [(r, text, Signature.of_text(text)) for r, text in enumerate(texts) if text.strip()]
-    if not present:
-        return [], set(), set()
-    counts: dict[Signature, int] = {}
-    for _, _, sig in present:
-        counts[sig] = counts.get(sig, 0) + 1
-    majority_sig, majority = max(counts.items(), key=lambda kv: kv[1])
-    if majority / len(present) < threshold:
-        return [], set(), set()
-    consistent = {(r, col) for r, _, sig in present if sig == majority_sig}
-    outliers = [(r, text) for r, text, sig in present if sig != majority_sig]
-    violations = []
-    if outliers:
-        where = "; ".join(f"row {r}: {text!r}" for r, text in outliers)
-        violations.append(
-            Violation(
-                Rule.INCONSISTENT_COLUMN,
-                row=None,
-                col=col,
-                detail=f"column {col} signature outliers {where}",
-            )
-        )
-    return violations, consistent, {(r, col) for r, _ in outliers}
-
-
-def check_entity_consistency(
-    table: Table,
-    patterns: Sequence[EntityType] | None = None,
+    entity: EntityType | None,
     threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
-) -> tuple[list[Violation], int]:
-    """Entity-typed column analysis over the table body.
+) -> tuple[list[Violation], set[tuple[int, int]], set[tuple[int, int]]]:
+    """Entity and signature consistency of one body column.
 
-    Columns with a detected type contribute their matching cells to the
-    consistent count and flag mismatching cells; untyped columns are left to
-    signature analysis.
+    A typed column flags the non-empty cells its entity type does not
+    match. An untyped column flags the non-empty cells off the signature
+    that at least ``threshold`` of them share, and flags nothing when no
+    signature is that common. Returns the violations and the consistent
+    and violating (row, col) positions.
     """
-    violations, consistent, _ = _column_analysis(table, patterns, threshold)
-    return [v for v in violations if v.rule is Rule.INCONSISTENT_COLUMN], len(consistent)
-
-
-def signature_analysis(
-    column: Sequence[str],
-    column_index: int = 0,
-    threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
-) -> list[Violation]:
-    """Flag signature outliers in a column that has no detected entity type."""
-    violations, _, _ = _signature_findings(list(column), column_index, threshold)
-    return violations
-
-
-def _column_analysis(
-    table: Table,
-    patterns: Sequence[EntityType] | None,
-    threshold: float,
-) -> tuple[list[Violation], set[tuple[int, int]], set[tuple[int, int]]]:
-    patterns = patterns or default_entity_patterns()
-    violations: list[Violation] = []
-    consistent: set[tuple[int, int]] = set()
-    violating: set[tuple[int, int]] = set()
-    for col, texts in enumerate(table.body_columns()):
-        entity = detect_entity_type(texts, patterns, threshold)
-        if entity is not None:
-            found, good, bad = _entity_findings(texts, col, entity)
-        else:
-            found, good, bad = _signature_findings(texts, col, threshold)
-        violations.extend(found)
-        consistent |= good
-        violating |= bad
-    return violations, consistent, violating
-
-
-def _strip_edges(token: str) -> str:
-    return token.strip(_EDGE_PUNCT)
-
-
-def _numeric_pattern(patterns: Sequence[EntityType]) -> EntityType | None:
-    for entity in patterns:
-        if entity.kind == "number":
-            return entity
-    return None
-
-
-def _is_numeric_token(token: str, number: EntityType | None) -> bool:
-    core = _strip_edges(token)
-    return bool(core) and number is not None and number.matches(core)
+    present = [(r, text) for r, text in enumerate(texts) if text.strip()]
+    if entity is not None:
+        fits = [entity.matches(text) for _, text in present]
+        claim = f"reads as {entity.kind} but mismatches"
+    else:
+        signatures = [Signature.of_text(text) for _, text in present]
+        common = Counter(signatures).most_common(1)
+        if not common or common[0][1] / len(present) < threshold:
+            return [], set(), set()
+        fits = [sig == common[0][0] for sig in signatures]
+        claim = "signature outliers"
+    consistent = {(r, col) for (r, _), fit in zip(present, fits) if fit}
+    outliers = [(r, text) for (r, text), fit in zip(present, fits) if not fit]
+    if not outliers:
+        return [], consistent, set()
+    where = "; ".join(f"row {r}: {text!r}" for r, text in outliers)
+    violation = Violation(
+        Rule.INCONSISTENT_COLUMN, row=None, col=col, detail=f"column {col} {claim} {where}"
+    )
+    return [violation], consistent, {(r, col) for r, _ in outliers}
 
 
 def detect_merged_cells(
     table: Table,
+    entities: Sequence[EntityType | None],
     patterns: Sequence[EntityType] | None = None,
-    threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
 ) -> list[Violation]:
     """Flag body cells that look like several values collapsed into one:
     two or more numeric tokens (e.g. "102, 205"), or a numeric token mixed
-    with words inside a column that reads as numbers (e.g. "Revenue 750")."""
+    with words inside a column that reads as numbers (e.g. "Revenue 750").
+    ``entities`` holds each body column's ``detect_entity_type`` result."""
     patterns = patterns or default_entity_patterns()
-    number = _numeric_pattern(patterns)
-    column_kinds = {
-        col: (detect_entity_type(texts, patterns, threshold) or EntityType("", "")).kind
-        for col, texts in enumerate(table.body_columns())
-    }
+    number = next((e for e in patterns if e.kind == "number"), None)
     violations = []
     for r, row in enumerate(table.body_rows):
         for cell in row:
-            tokens = cell.text.split()
-            numeric = sum(1 for tok in tokens if _is_numeric_token(tok, number))
-            alpha = sum(1 for tok in tokens if _strip_edges(tok).isalpha())
-            in_number_column = column_kinds.get(cell.col) == "number"
+            cores = [tok.strip(string.punctuation) for tok in cell.text.split()]
+            numeric = sum(1 for core in cores if core and number is not None and number.matches(core))
+            alpha = sum(1 for core in cores if core.isalpha())
+            entity = entities[cell.col]
+            in_number_column = entity is not None and entity.kind == "number"
             if numeric >= 2 or (numeric == 1 and alpha >= 1 and in_number_column):
                 violations.append(
                     Violation(
@@ -330,10 +244,7 @@ def detect_merged_cells(
     return violations
 
 
-def detect_delimiter_errors(
-    table: Table,
-    patterns: Sequence[EntityType] | None = None,
-) -> list[Violation]:
+def detect_delimiter_errors(table: Table) -> list[Violation]:
     """Flag adjacent body cells that look like one number split in two:
     a left cell ending in a dangling separator ("1,"), or a short digit
     group next to an exactly-three-digit group ("12" | "345")."""
@@ -404,17 +315,9 @@ def compute_coverage(source: SourceText, table: Table) -> float:
     total = _alnum_len(source.raw)
     if total == 0:
         return 1.0
-    table_tokens: dict[str, int] = {}
-    for cell in table.cells():
-        for tok in cell.text.split():
-            table_tokens[tok] = table_tokens.get(tok, 0) + 1
-    uncovered = 0
-    source_counts: dict[str, int] = {}
-    for tok in source.tokens:
-        source_counts[tok] = source_counts.get(tok, 0) + 1
-    for tok, count in source_counts.items():
-        missing = count - min(count, table_tokens.get(tok, 0))
-        uncovered += missing * _alnum_len(tok)
+    table_tokens = Counter(tok for cell in table.cells() for tok in cell.text.split())
+    missing = Counter(source.tokens) - table_tokens
+    uncovered = sum(count * _alnum_len(tok) for tok, count in missing.items())
     return 1.0 - uncovered / total
 
 
@@ -455,69 +358,49 @@ def run_sanity_check(
 ) -> ValidationReport:
     """Run every rule family and aggregate scores.
 
-    A cell flagged by several rules counts once toward ``violating_cells``;
-    empty cells count as consistent (they are structural padding) unless
-    they sit in a flagged empty row. The consistent and violating cell sets
-    are disjoint by construction.
+    Each body column's entity type is detected once and shared by the
+    column and merged-cell rules. A cell flagged by several rules counts
+    once toward ``violating_cells``; empty cells count as consistent (they
+    are structural padding) unless they sit in a flagged empty row. The
+    consistent and violating cell sets are disjoint by construction.
     """
     patterns = patterns or default_entity_patterns()
-    violations: list[Violation] = []
-    violating: set[tuple[int, int]] = set()
-    consistent: set[tuple[int, int]] = set()
+    body = table.body_rows
+    columns = table.body_columns()
+    entities = [detect_entity_type(texts, patterns, threshold) for texts in columns]
 
-    empty_rows = detect_empty_rows(table)
-    violations.extend(empty_rows)
-    for violation in empty_rows:
-        row = table.body_rows[violation.row]
-        violating |= {(violation.row, cell.col) for cell in row}
-
-    column_violations, column_consistent, column_violating = _column_analysis(
-        table, patterns, threshold
-    )
-    violations.extend(column_violations)
-    consistent |= column_consistent
-    violating |= column_violating
-
+    violations = detect_empty_rows(table)
+    violating = {(v.row, cell.col) for v in violations for cell in body[v.row]}
+    consistent = {(r, cell.col) for r, row in enumerate(body) for cell in row if not cell.text.strip()}
+    for col, (texts, entity) in enumerate(zip(columns, entities)):
+        found, good, bad = check_column(texts, col, entity, threshold)
+        violations += found
+        consistent |= good
+        violating |= bad
     for found in (
-        detect_merged_cells(table, patterns, threshold),
+        detect_merged_cells(table, entities, patterns),
         detect_unbalanced_brackets(table),
-        detect_delimiter_errors(table, patterns),
+        detect_delimiter_errors(table),
     ):
-        violations.extend(found)
+        violations += found
         violating |= {(v.row, v.col) for v in found}
-
-    for r, row in enumerate(table.body_rows):
-        for cell in row:
-            if cell.text.strip() == "":
-                consistent.add((r, cell.col))
     consistent -= violating
 
-    total = sum(len(row) for row in table.body_rows)
-    goodness = len(consistent) / total if total else 0.0
-    badness = len(violating) / total if total else 0.0
-
-    column_sizes: dict[int, int] = {}
-    column_bad: dict[int, int] = {}
-    for r, row in enumerate(table.body_rows):
-        for cell in row:
-            column_sizes[cell.col] = column_sizes.get(cell.col, 0) + 1
-            if (r, cell.col) in violating:
-                column_bad[cell.col] = column_bad.get(cell.col, 0) + 1
-    max_column_badness = max(
-        (column_bad.get(col, 0) / size for col, size in column_sizes.items()),
-        default=0.0,
-    )
-
+    column_sizes = Counter(cell.col for row in body for cell in row)
+    column_bad = Counter(col for _, col in violating)
+    total = sum(column_sizes.values())
     return ValidationReport(
         violations=tuple(violations),
         coverage=compute_coverage(source, table),
         hallucination_rate=compute_hallucination(source, table),
-        goodness_score=goodness,
-        badness_score=badness,
+        goodness_score=len(consistent) / total if total else 0.0,
+        badness_score=len(violating) / total if total else 0.0,
         consistent_cells=len(consistent),
         violating_cells=len(violating),
         total_cells=total,
-        max_column_badness=max_column_badness,
+        max_column_badness=max(
+            (column_bad[col] / size for col, size in column_sizes.items()), default=0.0
+        ),
     )
 
 

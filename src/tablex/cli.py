@@ -21,7 +21,7 @@ from .checker import (
     load_entity_patterns,
     run_sanity_check,
 )
-from .errors import TablexError
+from .errors import TablexError, UsageError
 from .gateway import Backend, BackendConfig, PromptKind, build_backend
 from .metrics import evaluate
 from .model import SourceText, Table, normalize_rectangular, parse_csv_table, parse_html_table, serialize_csv, serialize_html
@@ -39,7 +39,13 @@ CACHE_DIR_ENV = "TEN_CACHE_DIR"
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"{path}: not a JSON object")
+    return config
 
 
 def _backend_config(section: dict, args: argparse.Namespace) -> BackendConfig:
@@ -56,27 +62,36 @@ def _cache_dir(args: argparse.Namespace, config: dict) -> str | None:
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    config = _load_config(getattr(args, "config", None))
-    mode = "replay" if args.replay else "record" if args.record else "live"
-    cache_dir = _cache_dir(args, config)
-    generator_cfg = _backend_config(config.get("generator", {}), args)
-    # the critic follows the generator (flag overrides included) unless the
-    # config file names its own backend
-    critic_cfg = BackendConfig(**config["critic"]) if "critic" in config else generator_cfg
-    generator: Backend = build_backend(generator_cfg, mode, cache_dir)
-    critic: Backend = build_backend(critic_cfg, mode, cache_dir)
-    pipeline_section = dict(config.get("pipeline", {}))
-    prompt_alias = getattr(args, "prompt", None) or pipeline_section.pop("generation_prompt", "sd")
-    if getattr(args, "last_iteration", False):
-        pipeline_section["keep_last_iteration"] = True
-    thresholds = ConvergenceThresholds(**config.get("thresholds", {}))
-    return PipelineConfig(
-        generator=generator,
-        critic=critic,
-        thresholds=thresholds,
-        generation_prompt=_PROMPT_ALIASES[prompt_alias],
-        **pipeline_section,
-    )
+    """Build the loop's configuration. An unknown key, a bad value or a
+    cache mode without a cache directory is a usage error, prefixed with
+    the config file's name when one was given."""
+    path = getattr(args, "config", None)
+    config = _load_config(path)
+    try:
+        mode = "replay" if args.replay else "record" if args.record else "live"
+        cache_dir = _cache_dir(args, config)
+        generator_cfg = _backend_config(config.get("generator", {}), args)
+        # the critic follows the generator (flag overrides included) unless the
+        # config file names its own backend
+        critic_cfg = BackendConfig(**config["critic"]) if "critic" in config else generator_cfg
+        generator: Backend = build_backend(generator_cfg, mode, cache_dir)
+        critic: Backend = build_backend(critic_cfg, mode, cache_dir)
+        pipeline_section = dict(config.get("pipeline", {}))
+        prompt_alias = getattr(args, "prompt", None) or pipeline_section.pop("generation_prompt", "sd")
+        if getattr(args, "last_iteration", False):
+            pipeline_section["keep_last_iteration"] = True
+        if prompt_alias not in _PROMPT_ALIASES:
+            raise ValueError(f"unknown generation_prompt {prompt_alias!r}")
+        thresholds = ConvergenceThresholds(**config.get("thresholds", {}))
+        return PipelineConfig(
+            generator=generator,
+            critic=critic,
+            thresholds=thresholds,
+            generation_prompt=_PROMPT_ALIASES[prompt_alias],
+            **pipeline_section,
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _read_file(path: str) -> str:
@@ -215,6 +230,9 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"tablex: {exc}", file=sys.stderr)
+        return 2
     except TablexError as exc:
         print(f"tablex: {exc}", file=sys.stderr)
         return 1

@@ -59,6 +59,14 @@ class AuthMissingError(BackendFailure):
     """The API key environment variable for a live backend is unset."""
 
 
+class CorruptTranscript(BackendFailure):
+    """A stored transcript is unreadable, not JSON, or has no response."""
+
+
+class UsageError(TablexError):
+    """The command line or its config file is invalid (CLI exit code 2)."""
+
+
 class StoreWriteFailure(TablexError):
     """A transcript could not be persisted."""
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Protocol, Sequence
 
 import requests
 
-from .errors import AuthMissingError, MissingSlot, ReplayMissError, StoreWriteFailure, TransportError
+from .errors import AuthMissingError, CorruptTranscript, MissingSlot, ReplayMissError, StoreWriteFailure, TransportError
 
 
 class PromptKind(Enum):
@@ -154,13 +155,18 @@ class TranscriptStore:
         return self.root / f"{fingerprint}.json"
 
     def get(self, fingerprint: str) -> dict | None:
+        """The stored record, or None if never recorded; an unreadable
+        record or one without a string ``response`` is corrupt."""
         path = self.path(fingerprint)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path(fingerprint).exists()
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise CorruptTranscript(f"unreadable transcript {path}: {exc}") from exc
+        if not isinstance(record, dict) or not isinstance(record.get("response"), str):
+            raise CorruptTranscript(f'transcript {path} has no "response" string')
+        return record
 
     def put(self, record: dict) -> None:
         fingerprint = record["fingerprint"]
@@ -168,11 +174,17 @@ class TranscriptStore:
         with self._write_lock:
             if target.exists():
                 return
+            text = json.dumps(record, indent=2, sort_keys=True)
+            tmp = None
             try:
-                tmp = target.with_suffix(".tmp")
-                tmp.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
+                # a private temp name: concurrent writers never share one
+                fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+                with open(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
                 os.replace(tmp, target)
             except OSError as exc:
+                if tmp is not None:
+                    Path(tmp).unlink(missing_ok=True)
                 raise StoreWriteFailure(f"cannot write transcript {target}: {exc}") from exc
 
 

@@ -2,9 +2,7 @@
 
 Exact match, normalized ordered tree edit distance, cell value match and
 column value match, plus the source-referenced coverage/hallucination
-scores re-exported from the checker. A definitional brute-force tree edit
-oracle is included for cross-checking the production algorithm on small
-tables.
+scores re-exported from the checker.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ __all__ = [
     "MetricReport",
     "exact_match",
     "tree_edit_distance",
-    "tree_edit_distance_bruteforce",
     "cell_value_match",
     "column_value_match",
     "evaluate",
@@ -61,10 +58,6 @@ def _table_tree(table: Table) -> tuple:
         (_ROW, tuple((("cell", text), ()) for text in row)) for row in _grid(table)
     )
     return (_ROOT, rows)
-
-
-def _tree_size(tree: tuple) -> int:
-    return 1 + sum(_tree_size(child) for child in tree[1])
 
 
 def _postorder(tree: tuple, labels: list, lefts: list) -> int:
@@ -130,47 +123,6 @@ def _ted_absolute(a: tuple, b: tuple) -> int:
                             fd[p][q] + treedist[ai][bj],
                         )
     return treedist[n - 1][m - 1]
-
-
-def _forest_size(forest: tuple) -> int:
-    return sum(_tree_size(tree) for tree in forest)
-
-
-def _forest_dist(forest_a: tuple, forest_b: tuple, memo: dict) -> int:
-    """Definitional recursion over all edit decompositions of two ordered
-    forests; exhaustively minimizes over every valid node mapping."""
-    if not forest_a and not forest_b:
-        return 0
-    if not forest_a:
-        return _forest_size(forest_b)
-    if not forest_b:
-        return _forest_size(forest_a)
-    key = (forest_a, forest_b)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    tree_a, tree_b = forest_a[-1], forest_b[-1]
-    delete = _forest_dist(forest_a[:-1] + tree_a[1], forest_b, memo) + 1
-    insert = _forest_dist(forest_a, forest_b[:-1] + tree_b[1], memo) + 1
-    match = (
-        _forest_dist(tree_a[1], tree_b[1], memo)
-        + _forest_dist(forest_a[:-1], forest_b[:-1], memo)
-        + (tree_a[0] != tree_b[0])
-    )
-    result = min(delete, insert, match)
-    memo[key] = result
-    return result
-
-
-def tree_edit_distance_bruteforce(pred: Table, gold: Table) -> float:
-    """Brute-force normalized tree edit distance for small tables.
-
-    Independent of the keyroot implementation: minimizes the definitional
-    forest recursion over all edit decompositions. Intended as an oracle;
-    cost grows quickly with tree size.
-    """
-    distance = _forest_dist((_table_tree(pred),), (_table_tree(gold),), {})
-    return distance / max(table_node_count(pred), table_node_count(gold))
 
 
 def tree_edit_distance(pred: Table, gold: Table) -> float:
@@ -258,13 +210,6 @@ class MetricReport:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def to_tsv_row(self, task_id: str) -> str:
-        fields = [task_id, str(self.em)] + [
-            "" if value is None else f"{value:.6f}"
-            for value in (self.ted, self.cvm, self.colvm, self.coverage, self.hallucination)
-        ]
-        return "\t".join(fields)
 
 
 def evaluate(pred: Table, gold: Table, source: SourceText | None = None) -> MetricReport:

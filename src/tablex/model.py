@@ -25,16 +25,11 @@ from .errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTab
 class SourceText:
     """A delimiter-free input text.
 
-    ``alnum`` and ``tokens`` are derived views used by the coverage and
-    hallucination computations: ``alnum`` is the order-preserving sequence of
-    alphanumeric characters, ``tokens`` the whitespace-delimited chunks.
+    ``tokens``, the whitespace-delimited chunks, is the view the coverage
+    computation counts.
     """
 
     raw: str
-
-    @property
-    def alnum(self) -> str:
-        return "".join(ch for ch in self.raw if ch.isalnum())
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -122,16 +117,8 @@ class Table:
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
         return self.header_rows + self.body_rows
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.header_rows and not self.body_rows
-
     def cells(self) -> Iterator[Cell]:
         for row in self.rows:
-            yield from row
-
-    def body_cells(self) -> Iterator[Cell]:
-        for row in self.body_rows:
             yield from row
 
     def body_columns(self) -> list[list[str]]:

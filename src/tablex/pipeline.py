@@ -109,18 +109,9 @@ def findings_as_bullets(report: ValidationReport) -> str:
     return "\n".join(lines)
 
 
-def request_critique(
-    candidate: Table,
-    report: ValidationReport,
-    source: SourceText,
-    backend: Backend,
-) -> str:
-    """Ask the critic to turn checker findings into repair guidance.
-
-    ``source`` is part of the loop interface but is not rendered into the
-    prompt, which shows only the table and the rule-based signals.
-    """
-    del source
+def request_critique(candidate: Table, report: ValidationReport, backend: Backend) -> str:
+    """Ask the critic to turn checker findings into repair guidance. The
+    prompt shows only the table and the rule-based signals, not the source."""
     prompt = render_prompt(
         PromptKind.CRITIQUE,
         {
@@ -157,11 +148,6 @@ def _parse_with_retries(
         if failures > retry_budget:
             return raw, None, failures
         raw = backend.complete(prompt)
-
-
-def parse_candidate(raw: str, retry_budget: int, backend: Backend, prompt: str) -> Table | None:
-    _, table, _ = _parse_with_retries(raw, retry_budget, backend, prompt)
-    return table
 
 
 def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
@@ -212,7 +198,7 @@ def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
             final = candidate
             break
         if index < cfg.max_iterations:
-            critique = request_critique(candidate, report, source, cfg.critic)
+            critique = request_critique(candidate, report, cfg.critic)
             trace.critique = critique
 
     if final is None:

@@ -36,7 +36,6 @@ from tablex.metrics import (
     evaluate,
     exact_match,
     tree_edit_distance,
-    tree_edit_distance_bruteforce,
 )
 from tablex.model import (
     FlattenStyle,
@@ -52,6 +51,7 @@ from tablex.model import (
 from tablex.pipeline import PipelineConfig, run_ten
 
 from independent_recount import coverage_recount, hallucination_recount
+from ted_oracle import tree_edit_distance_bruteforce
 
 MODEL = "replay-model"
 

@@ -15,6 +15,7 @@ from tablex.gateway import (
     TranscriptStore,
     record_exchange,
     render_prompt,
+    request_fingerprint,
 )
 from tablex.model import (
     FlattenStyle,
@@ -42,6 +43,12 @@ def record_generation(cache_dir, source_text: str, response: str, model=MODEL) -
     record_exchange(
         TranscriptStore(cache_dir), ChatExchange.create(prompt, response, "seed", config)
     )
+
+
+def generation_path(cache_dir, source_text: str, model=MODEL):
+    prompt = render_prompt(PromptKind.STRUCTURAL_DECOMPOSITION, {"Input Text": source_text})
+    params = BackendConfig(model_id=model).params
+    return TranscriptStore(cache_dir).path(request_fingerprint(prompt, model, params))
 
 
 def replay_config(cache_dir, model=MODEL, **kwargs) -> PipelineConfig:
@@ -160,6 +167,16 @@ def test_bench_isolates_replay_miss(tmp_path):
     assert all(o.metrics is not None for o in report.per_task if not o.error)
 
 
+def test_bench_isolates_corrupt_transcript(tmp_path):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    tasks = ingest_dataset(data_dir, "csv")
+    generation_path(cache_dir, tasks[1].source.raw).write_text('{"response": "trunc')
+    report = run_bench(tasks, replay_config(cache_dir), parallelism=2)
+    assert [o.task_id for o in report.per_task if o.error] == ["t1"]
+    assert report.per_task[1].error.startswith("CorruptTranscript: ")
+    assert all(o.metrics is not None for o in report.per_task if not o.error)
+
+
 def test_bench_byte_identical_across_parallelism(tmp_path):
     data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
     tasks = ingest_dataset(data_dir, "csv")
@@ -235,6 +252,53 @@ def test_cli_extract_replay_miss_is_task_failure(tmp_path, capsys):
     code = cli(["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(cache)])
     assert code == 1
     assert "fingerprint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ['{"response": "trunc', '{"prompt": "no response"}'])
+def test_cli_extract_corrupt_transcript_is_task_failure(tmp_path, capsys, content):
+    (tmp_path / "input.txt").write_text("some words")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = generation_path(cache, "some words")
+    path.write_text(content)
+    argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(cache)]
+    assert cli(argv + ["--model", MODEL]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tablex: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def bad_config_run(tmp_path, text: str) -> tuple[int, str]:
+    (tmp_path / "input.txt").write_text("some words")
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(tmp_path / "c")]
+    return cli(argv + ["--config", str(config)]), str(config)
+
+
+def test_cli_malformed_config_is_usage_error(tmp_path, capsys):
+    code, path = bad_config_run(tmp_path, '{"generator": {"model_id": ')
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"generator": {"modle_id": "x"}}, "modle_id"),
+        ({"critic": {"modle_id": "x"}}, "modle_id"),
+        ({"thresholds": {"min_coverag": 0.5}}, "min_coverag"),
+        ({"pipeline": {"max_iteration": 3}}, "max_iteration"),
+        ({"pipeline": {"generation_prompt": "zz"}}, "zz"),  # a bad value, not a bad key
+    ],
+)
+def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, config, named):
+    code, path = bad_config_run(tmp_path, json.dumps(config))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {path}: ") and err.count("\n") == 1
+    assert repr(named) in err
 
 
 def test_cli_bench_end_to_end(tmp_path, capsys):

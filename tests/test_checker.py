@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+import tablex.checker as checker
 from tablex.checker import (
     ConvergenceThresholds,
     Rule,
     Signature,
     ValidationReport,
-    check_entity_consistency,
+    check_column,
     compute_coverage,
     compute_hallucination,
     default_entity_patterns,
@@ -22,7 +23,6 @@ from tablex.checker import (
     is_converged,
     load_entity_patterns,
     run_sanity_check,
-    signature_analysis,
 )
 from tablex.model import FlattenStyle, SourceText, Table, flatten_table
 
@@ -35,6 +35,14 @@ def table_of(body, header=()):
 
 def rule_set(violations):
     return {v.rule for v in violations}
+
+
+def entities_of(table):
+    return [detect_entity_type(texts) for texts in table.body_columns()]
+
+
+def sanity(table):
+    return run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
 
 
 # ---------------------------------------------------------------------------
@@ -117,36 +125,55 @@ def test_load_entity_patterns_from_file(tmp_path):
 
 
 def test_consistent_number_column():
-    violations, consistent = check_entity_consistency(table_of([["1"], ["2"], ["3"]]))
-    assert violations == [] and consistent == 3
+    report = sanity(table_of([["1"], ["2"], ["3"]]))
+    assert report.violations == () and report.consistent_cells == 3
 
 
 def test_inconsistent_number_column_names_the_cell():
     table = table_of([["1"], ["2"], ["oops"], ["4"], ["5"]])
-    violations, consistent = check_entity_consistency(table)
-    assert consistent == 4
+    report = sanity(table)
+    assert report.consistent_cells == 4
+    violations = report.violations
     assert [v.rule for v in violations] == [Rule.INCONSISTENT_COLUMN]
     assert violations[0].col == 0
     assert "row 2" in violations[0].detail and "oops" in violations[0].detail
 
 
 def test_empty_column_is_vacuous():
-    violations, consistent = check_entity_consistency(table_of([[""], [""], [""]]))
-    assert violations == [] and consistent == 0
+    report = sanity(table_of([[""], [""], [""]]))
+    assert [v for v in report.violations if v.rule is Rule.INCONSISTENT_COLUMN] == []
+    assert report.consistent_cells == 0
 
 
 def test_signature_flags_intruder():
-    violations = signature_analysis(["3.5", "2.5", "9.5", "7.5", "abc"], column_index=1)
+    violations, _, _ = check_column(["3.5", "2.5", "9.5", "7.5", "abc"], 1, None)
     assert [v.rule for v in violations] == [Rule.INCONSISTENT_COLUMN]
     assert violations[0].col == 1 and "abc" in violations[0].detail
 
 
 def test_signature_uniform_column_clean():
-    assert signature_analysis(["a-1", "b-2", "c-3"]) == []
+    assert check_column(["a-1", "b-2", "c-3"], 0, None)[0] == []
 
 
 def test_signature_needs_majority():
-    assert signature_analysis(["abc", "1.5"]) == []
+    assert check_column(["abc", "1.5"], 0, None)[0] == []
+
+
+def test_entity_type_detected_once_per_column(monkeypatch):
+    seen = []
+    detect = checker.detect_entity_type
+
+    def counting(texts, *args, **kwargs):
+        seen.append(list(texts))
+        return detect(texts, *args, **kwargs)
+
+    monkeypatch.setattr(checker, "detect_entity_type", counting)
+    table = Table.from_rows(
+        header=[["Id", "Amount", "Note"]],
+        body=[["1", "102, 205", "(a"], ["2", "Revenue 750", ""], [("3", 1, 2), "x"]],
+    )
+    sanity(table)
+    assert seen == table.body_columns()
 
 
 def test_signature_fields():
@@ -167,30 +194,31 @@ def test_signature_fields():
 
 def test_merged_two_numeric_tokens():
     table = table_of([["102, 205"], ["300, 410"]])
-    violations = detect_merged_cells(table)
+    violations = detect_merged_cells(table, entities_of(table))
     assert {v.rule for v in violations} == {Rule.MERGED_CELL}
     assert {(v.row, v.col) for v in violations} == {(0, 0), (1, 0)}
 
 
 def test_merged_label_in_numeric_column():
     table = table_of([["100"], ["200"], ["Revenue 750"], ["400"], ["500"]])
-    violations = detect_merged_cells(table)
+    violations = detect_merged_cells(table, entities_of(table))
     assert [(v.row, v.col) for v in violations] == [(2, 0)]
 
 
 def test_merged_ignores_plain_words():
-    assert detect_merged_cells(table_of([["hello world"]])) == []
+    table = table_of([["hello world"]])
+    assert detect_merged_cells(table, entities_of(table)) == []
 
 
 def test_merged_ignores_plus_minus_values():
     table = table_of([["95±15.97"], ["88.36±21.97"], ["164.26±64.68"]])
-    assert detect_merged_cells(table) == []
+    assert detect_merged_cells(table, entities_of(table)) == []
 
 
 def test_merged_word_outside_numeric_column_not_flagged():
     # "Revenue 750" only counts as merged when the column reads as numbers.
     table = table_of([["Revenue 750"], ["Cost summary"], ["Net totals"]])
-    assert detect_merged_cells(table) == []
+    assert detect_merged_cells(table, entities_of(table)) == []
 
 
 def test_delimiter_fragmented_thousands():
@@ -365,12 +393,10 @@ def test_sanity_union_of_individual_rules():
     report = run_sanity_check(source, table)
 
     expected = list(detect_empty_rows(table))
-    patterns = default_entity_patterns()
-    expected += check_entity_consistency(table)[0]
-    for col, texts in enumerate(table.body_columns()):
-        if detect_entity_type(texts, patterns) is None:
-            expected += signature_analysis(texts, col)
-    expected += detect_merged_cells(table)
+    entities = entities_of(table)
+    for col, (texts, entity) in enumerate(zip(table.body_columns(), entities)):
+        expected += check_column(texts, col, entity)[0]
+    expected += detect_merged_cells(table, entities)
     expected += detect_unbalanced_brackets(table)
     expected += detect_delimiter_errors(table)
 

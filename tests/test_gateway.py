@@ -6,7 +6,15 @@ import threading
 import pytest
 
 import tablex.gateway as gateway
-from tablex.errors import AuthMissingError, MissingSlot, ReplayMissError, TransportError
+from tablex.errors import (
+    AuthMissingError,
+    BackendFailure,
+    CorruptTranscript,
+    MissingSlot,
+    ReplayMissError,
+    StoreWriteFailure,
+    TransportError,
+)
 from tablex.gateway import (
     BackendConfig,
     ChatExchange,
@@ -148,6 +156,40 @@ def test_store_leaves_no_temp_files(tmp_path):
     store = TranscriptStore(tmp_path)
     record_exchange(store, exchange_for("p", "r"))
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_store_temp_name_is_private_to_the_write(tmp_path):
+    # another writer's temp path for the same fingerprint must not collide
+    store = TranscriptStore(tmp_path)
+    exchange = exchange_for("p", "r")
+    (tmp_path / f"{exchange.request_fingerprint}.tmp").mkdir()
+    record_exchange(store, exchange)
+    assert store.get(exchange.request_fingerprint)["response"] == "r"
+
+
+def test_store_failed_write_removes_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gateway.os, "replace", refuse)
+    store = TranscriptStore(tmp_path)
+    with pytest.raises(StoreWriteFailure):
+        record_exchange(store, exchange_for("p", "r"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "content", ['{"fingerprint": "x", "respon', '{"prompt": "p"}', '["r"]', b"\xff\xfe"]
+)
+def test_corrupt_transcript_is_a_backend_failure(tmp_path, content):
+    store = TranscriptStore(tmp_path)
+    path = store.path(request_fingerprint("p", CONFIG.model_id, CONFIG.params))
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    for backend in (ReplayBackend(CONFIG, store), RecordingBackend(CONFIG, store, live=FakeLive())):
+        with pytest.raises(CorruptTranscript) as err:
+            backend.complete("p")
+        assert isinstance(err.value, BackendFailure)
+        assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

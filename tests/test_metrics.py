@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tablex.bench import TaskOutcome
 from tablex.metrics import (
     MetricReport,
     cell_value_match,
@@ -14,9 +15,10 @@ from tablex.metrics import (
     exact_match,
     table_node_count,
     tree_edit_distance,
-    tree_edit_distance_bruteforce,
 )
 from tablex.model import FlattenStyle, Table, flatten_table
+
+from ted_oracle import tree_edit_distance_bruteforce
 
 
 def table_of(body, header=()):
@@ -238,9 +240,9 @@ def test_report_serialization():
     report = MetricReport(em=1, ted=0.0, cvm=100.0, colvm=100.0, coverage=0.5, hallucination=0.25)
     payload = json.loads(report.to_json())
     assert payload["em"] == 1 and payload["coverage"] == 0.5
-    row = report.to_tsv_row("task-1")
-    assert row.split("\t")[0] == "task-1"
-    assert len(row.split("\t")) == 7
+    row = TaskOutcome("task-1", report, 1, True).to_dict()
+    assert row["task_id"] == "task-1"
+    assert len(row["metrics"]) == 6  # beside the task id
 
 
 def test_row_permutation_keeps_cvm():

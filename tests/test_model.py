@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablex.checker import compute_coverage
 from tablex.errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey
 from tablex.model import (
     ExtractionResult,
@@ -37,7 +38,9 @@ def texts(rows):
 
 def test_source_text_views():
     src = SourceText("Revenue 750, Cost: 320\r\nnext")
-    assert src.alnum == "Revenue750Cost320next"
+    # coverage weighs tokens by their alphanumeric characters: 21 here
+    kept = Table.from_rows(body=[["Revenue", "750,"]])
+    assert compute_coverage(src, kept) == pytest.approx(len("Revenue750") / len("Revenue750Cost320next"))
     assert src.tokens == ("Revenue", "750,", "Cost:", "320", "next")
     assert all(not any(ch.isspace() for ch in tok) for tok in src.tokens)
 

@@ -20,7 +20,6 @@ from tablex.model import FlattenStyle, SourceText, Table, flatten_table, seriali
 from tablex.pipeline import (
     PipelineConfig,
     findings_as_bullets,
-    parse_candidate,
     request_critique,
     run_ten,
     table_as_rows_text,
@@ -196,7 +195,7 @@ def test_critique_no_findings_marker():
     report = run_sanity_check(source, table)
     assert report.violations == ()
     critic = ScriptedBackend(["looks fine"])
-    text = request_critique(table, report, source, critic)
+    text = request_critique(table, report, critic)
     assert text == "looks fine"
     assert "- (no findings)" in critic.calls[0]
 
@@ -210,7 +209,7 @@ def test_critique_prompt_names_rules():
     kinds = {v.rule for v in report.violations}
     assert {Rule.INCONSISTENT_COLUMN, Rule.MERGED_CELL} <= kinds
     critic = ScriptedBackend(["advice"])
-    request_critique(table, report, source, critic)
+    request_critique(table, report, critic)
     prompt = critic.calls[0]
     assert "Inconsistent Column" in prompt and "Merged Cell" in prompt
     assert table_as_rows_text(table) in prompt
@@ -233,34 +232,41 @@ def test_critique_replay_returns_fixture_bytes(tmp_path):
     store = TranscriptStore(tmp_path)
     record_exchange(store, ChatExchange.create(prompt, fixture, "seed", config))
     backend = ReplayBackend(config, store)
-    assert request_critique(table, report, source, backend) == fixture
+    assert request_critique(table, report, backend) == fixture
 
 
 # ---------------------------------------------------------------------------
-# parse_candidate
+# Candidate parsing inside run_ten
 # ---------------------------------------------------------------------------
+
+
+def first_candidate(responses, retry_budget):
+    backend = ScriptedBackend(responses)
+    cfg = config_for(backend, max_iterations=1, parse_retry_limit=retry_budget)
+    return run_ten(SourceText("x"), cfg).traces[0].candidate, backend
 
 
 def test_parse_candidate_listing(listing_json):
-    table = parse_candidate(listing_json, 0, ScriptedBackend([]), "prompt")
+    table, _ = first_candidate([listing_json], 0)
     assert table is not None
     assert len(table.body_rows) == 15
 
 
 def test_parse_candidate_retry_recovers():
     table = Table.from_rows(body=[["a"]])
-    backend = ScriptedBackend([envelope(table)])
-    got = parse_candidate("garbage", 1, backend, "the prompt")
+    got, backend = first_candidate(["garbage", envelope(table)], 1)
     assert got == table
-    assert backend.calls == ["the prompt"]
+    assert len(backend.calls) == 2 and backend.calls[1] == backend.calls[0]  # same prompt re-sent
 
 
 def test_parse_candidate_budget_zero():
-    assert parse_candidate("garbage", 0, ScriptedBackend([]), "p") is None
+    with pytest.raises(NoCandidateProduced):
+        first_candidate(["garbage"], 0)
 
 
 def test_parse_candidate_rejects_empty_extraction():
-    assert parse_candidate('{"tables": []}', 0, ScriptedBackend([]), "p") is None
+    with pytest.raises(NoCandidateProduced):
+        first_candidate(['{"tables": []}'], 0)
 
 
 # ---------------------------------------------------------------------------
