@@ -41,6 +41,8 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

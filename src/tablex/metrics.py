@@ -8,7 +8,8 @@ scores re-exported from the checker.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .checker import compute_coverage, compute_hallucination
@@ -46,94 +47,99 @@ def table_node_count(table: Table) -> int:
 # Tree edit distance
 # ---------------------------------------------------------------------------
 
-# A tree is (label, (child, child, ...)). Rows and the root carry structural
-# labels; cells are leaves labeled by their normalized text.
-
-_ROOT = ("table",)
-_ROW = ("row",)
-
-
-def _table_tree(table: Table) -> tuple:
-    rows = tuple(
-        (_ROW, tuple((("cell", text), ()) for text in row)) for row in _grid(table)
-    )
-    return (_ROOT, rows)
-
-
-def _postorder(tree: tuple, labels: list, lefts: list) -> int:
-    """Fill postorder label and leftmost-leaf-index arrays; return the root's
-    postorder index."""
-    first_leaf = None
-    for child in tree[1]:
-        idx = _postorder(child, labels, lefts)
-        if first_leaf is None:
-            first_leaf = lefts[idx]
-    labels.append(tree[0])
-    lefts.append(first_leaf if first_leaf is not None else len(labels) - 1)
-    return len(labels) - 1
+def _levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
+    """Unit-cost edit distance of two cell sequences: the tree distance of
+    two rows, whose row nodes map to each other."""
+    if set(a).isdisjoint(b):
+        return max(len(a), len(b))  # no equal pair: relabel the shorter, insert the rest
+    line = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        diag, line[0] = line[0], i
+        for j, y in enumerate(b, 1):
+            diag, line[j] = line[j], min(line[j] + 1, line[j - 1] + 1, diag + (x != y))
+    return line[-1]
 
 
-def _keyroots(lefts: Sequence[int]) -> list[int]:
-    seen: dict[int, int] = {}
-    for i, left in enumerate(lefts):
-        seen[left] = i  # the last node with this leftmost leaf wins
-    return sorted(seen.values())
+def _row_forest_distance(rows_a: Sequence[Sequence[str]], rows_b: Sequence[Sequence[str]]) -> int:
+    """Ordered edit distance between two forests of rows, unit costs.
+    Row nodes share one label, which no cell leaf (labelled by its text) has.
 
-
-def _ted_absolute(a: tuple, b: tuple) -> int:
-    """Ordered tree edit distance with unit insert/delete/relabel costs
-    (Zhang-Shasha keyroot decomposition)."""
-    labels_a: list = []
-    lefts_a: list[int] = []
-    _postorder(a, labels_a, lefts_a)
-    labels_b: list = []
-    lefts_b: list[int] = []
-    _postorder(b, labels_b, lefts_b)
-
-    n, m = len(labels_a), len(labels_b)
-    treedist = [[0] * m for _ in range(n)]
-
-    for i in _keyroots(lefts_a):
-        for j in _keyroots(lefts_b):
-            li, lj = lefts_a[i], lefts_b[j]
-            rows = i - li + 2
-            cols = j - lj + 2
-            fd = [[0] * cols for _ in range(rows)]
-            for x in range(1, rows):
-                fd[x][0] = fd[x - 1][0] + 1
-            for y in range(1, cols):
-                fd[0][y] = fd[0][y - 1] + 1
-            for x in range(1, rows):
-                for y in range(1, cols):
-                    ai = x + li - 1
-                    bj = y + lj - 1
-                    if lefts_a[ai] == li and lefts_b[bj] == lj:
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[x - 1][y - 1] + (labels_a[ai] != labels_b[bj]),
-                        )
-                        treedist[ai][bj] = fd[x][y]
-                    else:
-                        p = lefts_a[ai] - li
-                        q = lefts_b[bj] - lj
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[p][q] + treedist[ai][bj],
-                        )
-    return treedist[n - 1][m - 1]
+    One Zhang-Shasha forest DP over the postorder prefixes (each row's
+    cells, then the row node): fd[x][y] = min(fd[x-1][y] + 1,
+    fd[x][y-1] + 1, fd[left(x)-1][left(y)-1] + td(x, y)), where left(x) is
+    the first node of x's subtree. td has a closed form per pair of node
+    kinds: [labels differ] for two cells; k + [label not among the row's
+    cells] for a cell against a row of k cells (the cell maps to the row's
+    best node, the rest is inserted), either way round; the Levenshtein
+    distance of the cells for two rows. One DP line per A node, ``last``
+    being fd[x][y-1]; ``base`` is the line at the last A row boundary,
+    which an A row node reads as fd[left(x)-1].
+    """
+    b_rows, start = [], 0
+    for row in rows_b:
+        b_rows.append((row, start, len(row), set(row)))
+        start += len(row) + 1
+    prev = base = list(range(start + 1))
+    for row_a in rows_a:
+        for text in row_a:
+            line = [prev[0] + 1]
+            append, last = line.append, line[0]
+            for row, start, width, members in b_rows:
+                corner = diag = prev[start]
+                for label, up in zip(row, prev[start + 1 : start + width + 1]):
+                    last = (up if up < last else last) + 1
+                    diag += text != label  # cell/cell
+                    last = diag if diag < last else last
+                    append(last)
+                    diag = up
+                up = prev[start + width + 1]
+                last = (up if up < last else last) + 1
+                corner += width + (text not in members)  # cell/row
+                last = corner if corner < last else last
+                append(last)
+            prev = line
+        width_a, members_a = len(row_a), set(row_a)
+        line = [prev[0] + 1]
+        append, last = line.append, line[0]
+        for row, start, width, members in b_rows:
+            for label, up, diag in zip(row, prev[start + 1 : start + width + 1], base[start : start + width]):
+                last = (up if up < last else last) + 1
+                diag += width_a + (label not in members_a)  # row/cell
+                last = diag if diag < last else last
+                append(last)
+            up = prev[start + width + 1]
+            last = (up if up < last else last) + 1
+            corner = base[start] + _levenshtein(row_a, row)  # row/row
+            last = corner if corner < last else last
+            append(last)
+        prev = base = line
+    return prev[-1]
 
 
 def tree_edit_distance(pred: Table, gold: Table) -> float:
     """Normalized ordered tree edit distance between two table trees.
 
-    Unit costs; normalized by the larger tree's node count, so the result
-    lies in [0, 1] and is 0 exactly for identical grids.
+    Unit insert/delete/relabel costs; normalized by the larger tree's node
+    count, so the result lies in [0, 1] and is 0 exactly for identical grids.
+
+    Whole rows equal at the start of both grids, and then at the end, are
+    stripped before the DP; this keeps the distance exact. The roots map to
+    each other, which is optimal because both are labelled "table". Let the
+    first rows A1 = B1 be identical k-node subtrees and M an optimal mapping.
+    Order preservation means M cannot both send nodes of A1 into later
+    B-subtrees and send later A-nodes into B1, so the pairs of M that touch
+    A1 or B1 number at most k. Restricting M to the rest drops 2k nodes and
+    at most k pairs, each pair worth 2 in the cost, so it costs no more.
+    The reverse inequality holds by adding the identity on A1 and B1. The
+    last row follows by symmetry.
     """
-    if _grid(pred) == _grid(gold):
-        return 0.0
-    distance = _ted_absolute(_table_tree(pred), _table_tree(gold))
+    rows_a, rows_b = _grid(pred), _grid(gold)
+    shorter, head, tail = min(len(rows_a), len(rows_b)), 0, 0
+    while head < shorter and rows_a[head] == rows_b[head]:
+        head += 1
+    while tail < shorter - head and rows_a[-1 - tail] == rows_b[-1 - tail]:
+        tail += 1
+    distance = _row_forest_distance(rows_a[head : len(rows_a) - tail], rows_b[head : len(rows_b) - tail])
     return distance / max(table_node_count(pred), table_node_count(gold))
 
 
@@ -151,19 +157,11 @@ def exact_match(pred: Table, gold: Table) -> int:
 def cell_value_match(pred: Table, gold: Table) -> float:
     """Percentage of gold cells whose normalized text is reproduced
     somewhere in the prediction (multiset intersection, position-free)."""
-    gold_cells: list[str] = [text for row in _grid(gold) for text in row]
-    pred_counts: dict[str, int] = {}
-    for row in _grid(pred):
-        for text in row:
-            pred_counts[text] = pred_counts.get(text, 0) + 1
+    gold_cells = Counter(text for row in _grid(gold) for text in row)
     if not gold_cells:
         return 100.0 if exact_match(pred, gold) else 0.0
-    matched = 0
-    for text in gold_cells:
-        if pred_counts.get(text, 0) > 0:
-            pred_counts[text] -= 1
-            matched += 1
-    return matched / len(gold_cells) * 100.0
+    matched = gold_cells & Counter(text for row in _grid(pred) for text in row)
+    return matched.total() / gold_cells.total() * 100.0
 
 
 def _body_columns(table: Table) -> list[tuple[str, ...]]:
@@ -199,14 +197,7 @@ class MetricReport:
     hallucination: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "ted": self.ted,
-            "cvm": self.cvm,
-            "colvm": self.colvm,
-            "coverage": self.coverage,
-            "hallucination": self.hallucination,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -83,7 +83,7 @@ def _layout(
             while occupied.get((r, col)):
                 col += 1
             cells.append(Cell(text, r, col, rowspan, colspan))
-            for dr in range(rowspan):
+            for dr in range(min(rowspan, len(all_specs) - r)):
                 for dc in range(colspan):
                     occupied[(r + dr, col + dc)] = True
             col += colspan
@@ -164,6 +164,7 @@ def normalize_rectangular(table: Table) -> Table:
 # ---------------------------------------------------------------------------
 
 _STRUCTURAL_TAGS = {"table", "thead", "tbody", "tr", "th", "td"}
+_SPAN_LIMITS = {"rowspan": 65534, "colspan": 1000}  # HTML's maxima
 
 
 class _TableHtmlParser(HTMLParser):
@@ -197,9 +198,12 @@ class _TableHtmlParser(HTMLParser):
         for key, value in attrs:
             if key == name and value is not None:
                 try:
-                    return max(1, int(value))
+                    span = max(1, int(value))
                 except ValueError:
                     return 1
+                if span > _SPAN_LIMITS[name]:
+                    raise HtmlParseFailure(f"{name}={span} exceeds {_SPAN_LIMITS[name]}")
+                return span
         return 1
 
     def _flush_cell(self) -> None:
@@ -292,6 +296,8 @@ def parse_html_table(html: str) -> Table:
     try:
         parser.feed(html)
         parser.close()
+    except HtmlParseFailure:
+        raise
     except Exception as exc:  # pragma: no cover - html.parser rarely raises
         raise HtmlParseFailure(f"html parser error: {exc}") from exc
     if not parser.saw_table:
@@ -367,14 +373,14 @@ def _locate_json_object(text: str) -> dict:
             obj = json.loads(stripped)
             if isinstance(obj, dict):
                 return obj
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # bad JSON, an over-long integer or too deep a nesting
             pass
         pos = candidate.find("{")
         if pos < 0:
             continue
         try:
             obj, _ = decoder.raw_decode(candidate, pos)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             continue
         if isinstance(obj, dict):
             return obj

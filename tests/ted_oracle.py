@@ -2,14 +2,17 @@
 ``tablex.metrics.tree_edit_distance``.
 
 It minimizes the definitional forest recursion over all edit
-decompositions, independent of the keyroot algorithm, so its cost grows
-quickly with tree size: use it on small tables only.
+decompositions, independent of the row-level forest DP and of the keyroot
+reference, so its cost grows quickly with tree size: use it on small
+tables only.
 """
 
 from __future__ import annotations
 
-from tablex.metrics import _table_tree, table_node_count
+from tablex.metrics import table_node_count
 from tablex.model import Table
+
+from ted_reference import _table_tree
 
 
 def _tree_size(tree: tuple) -> int:
@@ -49,7 +52,7 @@ def _forest_dist(forest_a: tuple, forest_b: tuple, memo: dict) -> int:
 def tree_edit_distance_bruteforce(pred: Table, gold: Table) -> float:
     """Brute-force normalized tree edit distance for small tables.
 
-    Independent of the keyroot implementation: minimizes the definitional
+    Independent of the forest DP in ``tablex.metrics``: minimizes the definitional
     forest recursion over all edit decompositions. Intended as an oracle;
     cost grows quickly with tree size.
     """

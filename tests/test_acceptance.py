@@ -391,6 +391,47 @@ def test_criterion_9_performance_smoke():
     ok(9, f"1,000x10 table: check {check_elapsed:.2f}s, evaluate {eval_elapsed:.2f}s")
 
 
+def _ted_smoke_grid(rows: int) -> list[list[str]]:
+    """A header and ``rows`` body rows of word, date and number columns."""
+    rng = random.Random(rows)
+    words = ["alpha", "beta", "gamma", "delta", "total", "net", "gross"]
+
+    def value(col: int) -> str:
+        if col in (0, 4):
+            return rng.choice(words)
+        if col in (2, 6):
+            return f"20{rng.randint(10, 24)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
+        return f"{rng.randint(1, 99999):,}.{rng.randint(0, 99):02d}"
+
+    return [[f"c{i}" for i in range(10)]] + [[value(col) for col in range(10)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize(
+    "edit, bound",
+    [
+        ("middle row dropped, row 1 edited", 3.0),
+        ("first and last rows edited", 8.0),
+    ],
+)
+def test_ted_performance_smoke_on_differing_tables(edit, bound):
+    gold = _ted_smoke_grid(120)
+    pred = [list(row) for row in gold]
+    if edit.startswith("middle"):
+        del pred[1 + 120 // 2]
+        pred[1][0] = "zephyr"
+    else:
+        pred[0][3] = "zephyr"
+        pred[-1][5] = "quokka"
+    pred_table = Table.from_rows(header=pred[:1], body=pred[1:])
+    gold_table = Table.from_rows(header=gold[:1], body=gold[1:])
+
+    started = time.perf_counter()
+    ted = tree_edit_distance(pred_table, gold_table)
+    elapsed = time.perf_counter() - started
+    assert 0.0 < ted < 0.05
+    assert elapsed < bound, f"tree_edit_distance ({edit}) took {elapsed:.2f}s"
+
+
 # ---------------------------------------------------------------------------
 # 10. CLI contract
 # ---------------------------------------------------------------------------

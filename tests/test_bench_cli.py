@@ -283,6 +283,18 @@ def test_cli_malformed_config_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"tablex: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_unreadable_config_is_usage_error(tmp_path, capsys, kind):
+    (tmp_path / "input.txt").write_text("some words")
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(tmp_path / "c")]
+    assert cli(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {config}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "config, named",
     [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablex.checker import compute_coverage
-from tablex.errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey
+from tablex.errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, TablexError
 from tablex.model import (
     ExtractionResult,
     FlattenStyle,
@@ -107,6 +107,29 @@ def test_parse_extraction_entry_failure_carries_index():
     assert err.value.entry_index == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        '{"tables": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        "```json\n{\"tables\": " + "[" * 50_000 + "\n```",
+        '{"tables": [], "n": ' + "7" * 5_000 + "}",  # beyond int()'s digit limit
+    ],
+    ids=["brackets", "deep-tables", "deep-fenced", "long-integer"],
+)
+def test_parse_extraction_deep_or_huge_json_is_malformed(text):
+    with pytest.raises(MalformedJson):
+        parse_extraction_json(text)
+
+
+@pytest.mark.parametrize("attr", ['rowspan="99999999"', 'colspan="99999999"', 'colspan="1001"', 'rowspan="65535"'])
+def test_parse_extraction_span_beyond_html_limit_fails(attr):
+    payload = json.dumps({"tables": [{"html_output": f"<table><tr><td {attr}>x</td></tr></table>"}]})
+    with pytest.raises(HtmlParseFailure) as err:
+        parse_extraction_json(payload)
+    assert err.value.entry_index == 0
+
+
 # ---------------------------------------------------------------------------
 # parse_html_table
 # ---------------------------------------------------------------------------
@@ -156,6 +179,14 @@ def test_parse_html_rowspan_occupies_next_row():
     )
     table = parse_html_table(html)
     assert table.body_rows[1][0].col == 1  # shifted right of the spanning cell
+
+
+def test_parse_html_span_at_html_limit_marks_only_existing_rows():
+    table = parse_html_table(
+        '<table><tr><td rowspan="65534" colspan="1000">x</td><td>y</td></tr><tr><td>z</td></tr></table>'
+    )
+    assert [(c.text, c.col) for row in table.rows for c in row] == [("x", 0), ("y", 1000), ("z", 1000)]
+    assert table.width == 1001
 
 
 def test_parse_html_requires_table():
@@ -370,6 +401,67 @@ def test_property_concat_row_count(parts):
     body_rows = sum(len(t.body_rows) for _, t in parts)
     tokens = sum(1 for tok, _ in parts[1:] if tok is not None)
     assert len(combined.body_rows) == body_rows + tokens
+
+
+SPAN_VALUES = st.one_of(
+    st.integers(-2, 70_000).map(str),
+    st.sampled_from(["", "x", "1.5", " 3 ", "0", "1000", "1001", "65534", "65535", "99999999"]),
+)
+
+
+@st.composite
+def html_tables(draw):
+    parts = [draw(st.sampled_from(["<table>", "<table><thead>", "<p>", ""]))]
+    for _ in range(draw(st.integers(0, 4))):
+        parts.append(draw(st.sampled_from(["<tr>", "<tbody><tr>", ""])))
+        for _ in range(draw(st.integers(0, 4))):
+            tag = draw(st.sampled_from(["td", "th"]))
+            attrs = "".join(
+                f' {name}="{draw(SPAN_VALUES)}"' for name in ("rowspan", "colspan") if draw(st.booleans())
+            )
+            parts.append(f"<{tag}{attrs}>{draw(CELL_ALPHABET)}" + draw(st.sampled_from([f"</{tag}>", ""])))
+        parts.append(draw(st.sampled_from(["</tr>", "</thead>", "</tbody>", ""])))
+    parts.append(draw(st.sampled_from(["</table>", "</tbody></table>", "<table>", ""])))
+    return "".join(parts)
+
+
+def _nested(draw, inner: str) -> str:
+    depth = draw(st.one_of(st.just(0), st.integers(1, 5), st.integers(900, 3_000)))
+    return "[" * depth + inner + "]" * depth
+
+
+@st.composite
+def envelopes(draw):
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["$html_output$", "html_output", "html"]))
+        token = draw(st.sampled_from(["null", '"A"', "7", '{"x": 1}', _nested(draw, "1")]))
+        entries.append(f'{{"{key}": {json.dumps(draw(html_tables()))}, "$starting_token$": {token}}}')
+    text = '{"tables": ' + _nested(draw, "[" + ", ".join(entries) + "]") + "}"
+    if draw(st.booleans()):
+        text = "```json\n" + text + draw(st.sampled_from(["\n```", ""]))
+    return draw(st.text(max_size=8)) + text + draw(st.text(max_size=8))
+
+
+def _parse_and_assemble(text: str) -> None:
+    """The pipeline's route from a response to a candidate table; only
+    package errors may leave it."""
+    try:
+        normalize_rectangular(concat_partial_tables(parse_extraction_json(text)))
+    except TablexError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_property_arbitrary_text_raises_only_package_errors(text):
+    _parse_and_assemble(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelopes())
+def test_property_generated_envelopes_raise_only_package_errors(text):
+    _parse_and_assemble(text)
 
 
 def test_serialize_roundtrip_with_spans():
