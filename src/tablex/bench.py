@@ -9,6 +9,7 @@ values.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 import time
@@ -17,7 +18,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NoTasksFound, UnreadableFile
+from .errors import HtmlParseFailure, NoTasksFound, UnreadableFile
 from .metrics import MetricReport, evaluate
 from .model import (
     FlattenStyle,
@@ -81,24 +82,27 @@ class BenchReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; a read or decode failure is ``UnreadableFile``."""
     # bytes + decode: universal-newline translation must not rewrite CRLF
     # sources, which would shift coverage and replay fingerprints
     try:
-        return path.read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableFile(str(path), str(exc)) from exc
 
 
-def _load_gold(path: Path) -> Table:
-    text = _read_text(path)
+def load_table(path: str | Path) -> Table:
+    """A normalized table from a ``.csv`` file, or from HTML for any other
+    suffix; a file that cannot be read or parsed is ``UnreadableFile``."""
+    text = read_text(path)
     try:
-        if path.suffix.lower() == ".csv":
+        if Path(path).suffix.lower() == ".csv":
             table = parse_csv_table(text)
         else:
             table = parse_html_table(text)
-    except Exception as exc:
-        raise UnreadableFile(str(path), f"cannot parse gold table: {exc}") from exc
+    except (csv.Error, HtmlParseFailure) as exc:
+        raise UnreadableFile(str(path), f"cannot parse table: {exc}") from exc
     return normalize_rectangular(table)
 
 
@@ -121,7 +125,7 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
         for path in sorted(directory.iterdir()):
             if path.suffix.lower() not in suffixes:
                 continue
-            gold = _load_gold(path)
+            gold = load_table(path)
             source = flatten_table(gold, FlattenStyle.OCR)
             tasks.append(Task(id=path.stem, source=source, gold=gold, provenance=str(path)))
     else:
@@ -132,8 +136,8 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
             tasks.append(
                 Task(
                     id=path.stem,
-                    source=SourceText(_read_text(path)),
-                    gold=_load_gold(gold_path),
+                    source=SourceText(read_text(path)),
+                    gold=load_table(gold_path),
                     provenance=str(path),
                 )
             )

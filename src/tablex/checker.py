@@ -60,13 +60,18 @@ def default_entity_patterns() -> tuple[EntityType, ...]:
 
 
 def load_entity_patterns(path: str | Path) -> tuple[EntityType, ...]:
-    """Load an entity pattern set (priority-ordered JSON array) from disk."""
+    """Load an entity pattern set (priority-ordered JSON array) from disk;
+    a malformed set or a pattern that does not compile is a ``ValueError``."""
     return _patterns_from_json(Path(path).read_text())
 
 
 def _patterns_from_json(data: str) -> tuple[EntityType, ...]:
-    entries = json.loads(data)
-    return tuple(EntityType(kind=e["kind"], pattern=e["pattern"]) for e in entries)
+    try:
+        return tuple(EntityType(e["kind"], _compiled(e["pattern"]).pattern) for e in json.loads(data))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a list of kind/pattern objects: {exc!r}") from exc
+    except re.error as exc:
+        raise ValueError(f"invalid regex {exc.pattern!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

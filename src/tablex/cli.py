@@ -24,7 +24,7 @@ from .checker import (
 from .errors import TablexError, UsageError
 from .gateway import Backend, BackendConfig, PromptKind, build_backend
 from .metrics import evaluate
-from .model import SourceText, Table, normalize_rectangular, parse_csv_table, parse_html_table, serialize_csv, serialize_html
+from .model import SourceText, serialize_csv, serialize_html
 from .pipeline import PipelineConfig, run_ten
 
 _PROMPT_ALIASES = {
@@ -96,18 +96,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         raise UsageError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-def _read_file(path: str) -> str:
-    # keep CRLF intact: newline translation would corrupt sources and caches
-    return Path(path).read_bytes().decode("utf-8")
-
-
-def _load_table(path: str) -> Table:
-    text = _read_file(path)
-    if Path(path).suffix.lower() == ".csv":
-        return normalize_rectangular(parse_csv_table(text))
-    return normalize_rectangular(parse_html_table(text))
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8", newline="")
@@ -121,7 +109,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    source = SourceText(_read_file(args.input))
+    source = SourceText(benchmod.read_text(args.input))
     cfg = _pipeline_config(args)
     result = run_ten(source, cfg)
     if args.out == "html":
@@ -134,18 +122,21 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    table = _load_table(args.table)
-    source = SourceText(_read_file(args.source))
-    patterns = load_entity_patterns(args.patterns) if args.patterns else None
+    table = benchmod.load_table(args.table)
+    source = SourceText(benchmod.read_text(args.source))
+    try:
+        patterns = load_entity_patterns(args.patterns) if args.patterns else None
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{args.patterns}: cannot load patterns: {exc}") from exc
     report = run_sanity_check(source, table, patterns=patterns)
     print(report.to_json())
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    pred = _load_table(args.pred)
-    gold = _load_table(args.gold)
-    source = SourceText(_read_file(args.source)) if args.source else None
+    pred = benchmod.load_table(args.pred)
+    gold = benchmod.load_table(args.gold)
+    source = SourceText(benchmod.read_text(args.source)) if args.source else None
     report = evaluate(pred, gold, source)
     print(report.to_json())
     return 0

@@ -1,9 +1,9 @@
 """Prompt rendering and chat-completion backends.
 
 Five embedded prompt templates, a tiny slot renderer, request
-fingerprinting, an on-disk transcript store, and four interchangeable
-backends: live HTTP, record (live + cache), replay (cache only) and
-scripted (ordered canned responses for tests and fixtures).
+fingerprinting, an on-disk transcript store, and two backends: live HTTP,
+and a cached backend that records unseen requests through a live backend
+(record mode) or refuses them (replay mode).
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import re
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import requests
 
@@ -35,22 +35,15 @@ class PromptKind(Enum):
     CHAIN_OF_THOUGHT = "cot"
 
 
-_TEMPLATE_FILES = {
-    PromptKind.STRUCTURAL_DECOMPOSITION: "structural_decomposition.txt",
-    PromptKind.CRITIQUE: "critique.txt",
-    PromptKind.REGENERATION: "regeneration.txt",
-    PromptKind.BASELINE: "baseline.txt",
-    PromptKind.CHAIN_OF_THOUGHT: "chain_of_thought.txt",
-}
-
 _PLACEHOLDER_RE = re.compile(r"\{\{([^{}]+)\}\}")
 
 
 @lru_cache(maxsize=None)
 def template_text(kind: PromptKind) -> str:
+    """The text of ``prompts/<kind name in lower case>.txt``."""
     return (
         resources.files("tablex")
-        .joinpath(f"prompts/{_TEMPLATE_FILES[kind]}")
+        .joinpath(f"prompts/{kind.name.lower()}.txt")
         .read_text(encoding="utf-8")
     )
 
@@ -112,27 +105,6 @@ def request_fingerprint(prompt: str, model_id: str, params: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ChatExchange:
-    prompt: str
-    response: str
-    backend_id: str
-    model_id: str
-    request_fingerprint: str
-    params: dict = field(default_factory=dict)
-
-    @classmethod
-    def create(cls, prompt: str, response: str, backend_id: str, config: BackendConfig) -> "ChatExchange":
-        return cls(
-            prompt=prompt,
-            response=response,
-            backend_id=backend_id,
-            model_id=config.model_id,
-            request_fingerprint=request_fingerprint(prompt, config.model_id, config.params),
-            params=config.params,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Transcript store
 # ---------------------------------------------------------------------------
@@ -168,8 +140,17 @@ class TranscriptStore:
             raise CorruptTranscript(f'transcript {path} has no "response" string')
         return record
 
-    def put(self, record: dict) -> None:
-        fingerprint = record["fingerprint"]
+    def put(self, prompt: str, response: str, config: BackendConfig) -> None:
+        """Persist one exchange under its request fingerprint."""
+        fingerprint = request_fingerprint(prompt, config.model_id, config.params)
+        record = {
+            "fingerprint": fingerprint,
+            "prompt": prompt,
+            "response": response,
+            "model_id": config.model_id,
+            "params": config.params,
+            "timestamp": time.time(),
+        }
         target = self.path(fingerprint)
         with self._write_lock:
             if target.exists():
@@ -188,28 +169,12 @@ class TranscriptStore:
                 raise StoreWriteFailure(f"cannot write transcript {target}: {exc}") from exc
 
 
-def record_exchange(store: TranscriptStore, exchange: ChatExchange) -> None:
-    """Persist an exchange under its fingerprint (idempotent)."""
-    store.put(
-        {
-            "fingerprint": exchange.request_fingerprint,
-            "prompt": exchange.prompt,
-            "response": exchange.response,
-            "model_id": exchange.model_id,
-            "params": exchange.params,
-            "timestamp": time.time(),
-        }
-    )
-
-
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
 
 
 class Backend(Protocol):
-    backend_id: str
-
     def complete(self, prompt: str) -> str: ...
 
 
@@ -217,8 +182,6 @@ class LiveBackend:
     """Chat-completions HTTP backend: JSON POST, bearer auth, retries with
     exponential backoff on transient failures. A semaphore bounds in-flight
     requests when the backend is shared across workers."""
-
-    backend_id = "live"
 
     def __init__(self, config: BackendConfig, max_in_flight: int = 8):
         self.config = config
@@ -267,63 +230,28 @@ class LiveBackend:
 
 
 class ReplayBackend:
-    """Serves recorded responses only; any unseen fingerprint is an error."""
-
-    backend_id = "replay"
-
-    def __init__(self, config: BackendConfig, store: TranscriptStore):
-        self.config = config
-        self.store = store
-
-    def complete(self, prompt: str) -> str:
-        fingerprint = request_fingerprint(prompt, self.config.model_id, self.config.params)
-        record = self.store.get(fingerprint)
-        if record is None:
-            raise ReplayMissError(fingerprint)
-        return record["response"]
-
-
-class RecordingBackend:
-    """Live backend with a write-through cache: cached fingerprints are
-    served from the store byte-for-byte, misses hit the network and are
-    persisted."""
-
-    backend_id = "record"
+    """Serves recorded responses byte for byte. An unseen fingerprint is
+    answered by ``live`` and stored, or is a ``ReplayMissError`` when there
+    is no live backend."""
 
     def __init__(self, config: BackendConfig, store: TranscriptStore, live: Backend | None = None):
         self.config = config
         self.store = store
-        self.live = live if live is not None else LiveBackend(config)
+        self.live = live
 
     def complete(self, prompt: str) -> str:
         fingerprint = request_fingerprint(prompt, self.config.model_id, self.config.params)
         record = self.store.get(fingerprint)
         if record is not None:
             return record["response"]
+        if self.live is None:
+            raise ReplayMissError(fingerprint)
         response = self.live.complete(prompt)
-        record_exchange(self.store, ChatExchange.create(prompt, response, self.backend_id, self.config))
+        self.store.put(prompt, response, self.config)
         return response
 
 
-class ScriptedBackend:
-    """Returns a fixed response sequence in call order and remembers the
-    prompts it saw; the deterministic stand-in for scripted tests."""
-
-    backend_id = "scripted"
-
-    def __init__(self, responses: Sequence[str], model_id: str = "scripted"):
-        self.responses = list(responses)
-        self.model_id = model_id
-        self.calls: list[str] = []
-        self._lock = threading.Lock()
-
-    def complete(self, prompt: str) -> str:
-        with self._lock:
-            index = len(self.calls)
-            self.calls.append(prompt)
-        if index >= len(self.responses):
-            raise TransportError(f"script exhausted after {len(self.responses)} responses")
-        return self.responses[index]
+RecordingBackend = ReplayBackend  # the record-mode name, kept for existing callers
 
 
 def build_backend(
@@ -334,11 +262,9 @@ def build_backend(
     """Construct a backend for a CLI mode: live, record, or replay."""
     if mode == "live":
         return LiveBackend(config)
+    if mode not in ("record", "replay"):
+        raise ValueError(f"unknown backend mode {mode!r}")
     if cache_dir is None:
         raise ValueError(f"mode {mode!r} needs a cache directory")
-    store = TranscriptStore(cache_dir)
-    if mode == "record":
-        return RecordingBackend(config, store)
-    if mode == "replay":
-        return ReplayBackend(config, store)
-    raise ValueError(f"unknown backend mode {mode!r}")
+    live = LiveBackend(config) if mode == "record" else None
+    return ReplayBackend(config, TranscriptStore(cache_dir), live)

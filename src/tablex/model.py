@@ -200,6 +200,9 @@ class _TableHtmlParser(HTMLParser):
                 try:
                     span = max(1, int(value))
                 except ValueError:
+                    # a decimal past int()'s digit limit is a huge span, not junk
+                    if value.strip().removeprefix("+").isdecimal():
+                        raise HtmlParseFailure(f"{name} has more than 4300 digits") from None
                     return 1
                 if span > _SPAN_LIMITS[name]:
                     raise HtmlParseFailure(f"{name}={span} exceeds {_SPAN_LIMITS[name]}")

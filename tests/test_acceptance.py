@@ -23,11 +23,8 @@ from tablex.checker import (
 from tablex.cli import cli
 from tablex.gateway import (
     BackendConfig,
-    ChatExchange,
     PromptKind,
-    ScriptedBackend,
     TranscriptStore,
-    record_exchange,
     render_prompt,
 )
 from tablex.metrics import (
@@ -51,6 +48,7 @@ from tablex.model import (
 from tablex.pipeline import PipelineConfig, run_ten
 
 from independent_recount import coverage_recount, hallucination_recount
+from scripted import ScriptedBackend
 from ted_oracle import tree_edit_distance_bruteforce
 
 MODEL = "replay-model"
@@ -223,7 +221,7 @@ def test_criterion_4_score_bounds_properties():
 def _record_generation(cache_dir, source_text: str, response: str) -> None:
     config = BackendConfig(model_id=MODEL)
     prompt = render_prompt(PromptKind.STRUCTURAL_DECOMPOSITION, {"Input Text": source_text})
-    record_exchange(TranscriptStore(cache_dir), ChatExchange.create(prompt, response, "seed", config))
+    TranscriptStore(cache_dir).put(prompt, response, config)
 
 
 def test_criterion_5_pipeline_replay_determinism(

@@ -1,19 +1,19 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import tablex.gateway as gateway
 from tablex.bench import ingest_dataset, run_bench, write_task_outputs
 from tablex.cli import cli
 from tablex.errors import NoTasksFound, UnreadableFile
 from tablex.gateway import (
     BackendConfig,
-    ChatExchange,
     PromptKind,
     ReplayBackend,
     TranscriptStore,
-    record_exchange,
     render_prompt,
     request_fingerprint,
 )
@@ -40,9 +40,7 @@ def envelope(table: Table) -> str:
 def record_generation(cache_dir, source_text: str, response: str, model=MODEL) -> None:
     config = BackendConfig(model_id=model)
     prompt = render_prompt(PromptKind.STRUCTURAL_DECOMPOSITION, {"Input Text": source_text})
-    record_exchange(
-        TranscriptStore(cache_dir), ChatExchange.create(prompt, response, "seed", config)
-    )
+    TranscriptStore(cache_dir).put(prompt, response, config)
 
 
 def generation_path(cache_dir, source_text: str, model=MODEL):
@@ -428,15 +426,99 @@ def test_cli_check_custom_patterns(tmp_path, capsys):
     assert any(v["rule"] == "Inconsistent Column" for v in payload["violations"])
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, json.dumps([{"kind": "code"}]), json.dumps([{"kind": "code", "pattern": "(["}])],
+    ids=["missing", "no-pattern", "bad-regex"],
+)
+def test_cli_bad_patterns_is_usage_error(tmp_path, capsys, content):
+    table = Table.from_rows(body=[["AB-12"], ["CD-34"]])
+    (tmp_path / "t.html").write_text(serialize_html(table))
+    (tmp_path / "src.txt").write_text(flatten_table(table, FlattenStyle.OCR).raw)
+    patterns = tmp_path / "patterns.json"
+    if content is not None:
+        patterns.write_text(content)
+    argv = ["check", str(tmp_path / "t.html"), "--source", str(tmp_path / "src.txt")]
+    assert cli(argv + ["--patterns", str(patterns)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {patterns}: ") and err.count("\n") == 1
+
+
+BAD_INPUTS = {
+    "undecodable-source": ("bad.txt", b"caf\xe9 1"),  # Latin-1, not UTF-8
+    "undecodable-table": ("bad.html", b"<table><tr><td>caf\xe9</td></tr></table>"),
+    # one field past csv's default 131,072-character limit
+    "csv-field-over-limit": ("bad.csv", b'Name,Qty\r\n"' + b"x" * 200_000 + b'",1\r\n'),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+def test_cli_unreadable_input_is_one_line_task_failure(tmp_path, capsys, command, bad):
+    gold = simple_gold("alpha", "beta")
+    table = tmp_path / "t.html"
+    table.write_text(serialize_html(gold))
+    source = tmp_path / "src.txt"
+    source.write_text(flatten_table(gold, FlattenStyle.OCR).raw)
+    name, content = BAD_INPUTS[bad]
+    bad_file = tmp_path / name
+    bad_file.write_bytes(content)
+    if bad_file.suffix == ".txt":
+        source = bad_file
+    else:
+        table = bad_file
+    if command == "check":
+        argv = ["check", str(table), "--source", str(source)]
+    else:
+        argv = ["eval", str(table), str(tmp_path / "t.html"), "--source", str(source)]
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {bad_file}: ") and err.count("\n") == 1
+
+
+def test_cli_extract_record_then_replay(tmp_path, monkeypatch):
+    """--record stores one transcript per distinct prompt; --replay then
+    serves the same run offline, byte for byte."""
+    merged = Table.from_rows(
+        header=[["Part", "Qty", "Price"]], body=[["bolt", "102, 4.50", ""], ["nut", "300, 7.25", ""]]
+    )
+    fixed = Table.from_rows(header=[["Part", "Qty", "Price"]], body=[["bolt", "102", "4.50"], ["nut", "300", "7.25"]])
+    answers = iter([envelope(merged), "Split the collapsed Qty/Price values.", envelope(fixed)])
+    prompts = []
+
+    def live_post(url, json=None, headers=None, timeout=None):
+        prompts.append(json["messages"][0]["content"])
+        content = next(answers)
+        return SimpleNamespace(status_code=200, json=lambda: {"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setenv("TEN_API_KEY", "secret")
+    monkeypatch.setattr(gateway.requests, "post", live_post)
+    (tmp_path / "input.txt").write_bytes(b"Part Qty Price\r\nbolt 102 4.50\r\nnut 300 7.25")
+    cache = tmp_path / "cache"
+    base = ["extract", str(tmp_path / "input.txt"), "--cache-dir", str(cache), "--model", MODEL, "--out", "json"]
+    assert cli(base + ["--record", "--output", str(tmp_path / "recorded.json")]) == 0
+    assert json.loads((tmp_path / "recorded.json").read_text())["converged"] is True
+
+    params = BackendConfig(model_id=MODEL).params
+    assert len(prompts) == len(set(prompts)) == 3  # generate, critique, regenerate
+    fingerprints = {request_fingerprint(prompt, MODEL, params) for prompt in prompts}
+    assert {path.stem for path in cache.glob("*.json")} == fingerprints
+
+    def offline(*args, **kwargs):
+        raise AssertionError("replay must not reach the network")
+
+    monkeypatch.setattr(gateway.requests, "post", offline)
+    assert cli(base + ["--replay", "--output", str(tmp_path / "replayed.json")]) == 0
+    assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "recorded.json").read_bytes()
+
+
 def test_cli_extract_baseline_prompt(tmp_path, capsys):
     gold = simple_gold("alpha", "beta")
     source = flatten_table(gold, FlattenStyle.OCR)
     cache_dir = tmp_path / "cache"
     config = BackendConfig(model_id=MODEL)
     prompt = render_prompt(PromptKind.BASELINE, {"Input Text": source.raw})
-    record_exchange(
-        TranscriptStore(cache_dir), ChatExchange.create(prompt, envelope(gold), "seed", config)
-    )
+    TranscriptStore(cache_dir).put(prompt, envelope(gold), config)
     (tmp_path / "input.txt").write_bytes(source.raw.encode())
     code = cli(
         [

@@ -17,19 +17,19 @@ from tablex.errors import (
 )
 from tablex.gateway import (
     BackendConfig,
-    ChatExchange,
     LiveBackend,
     PromptKind,
     RecordingBackend,
     ReplayBackend,
-    ScriptedBackend,
     TranscriptStore,
-    record_exchange,
+    build_backend,
     render_prompt,
     request_fingerprint,
     template_checksum,
     template_text,
 )
+
+from scripted import ScriptedBackend
 
 CONFIG = BackendConfig(model_id="test-model", retries=2, api_key_env="TEN_API_KEY")
 
@@ -120,15 +120,15 @@ def test_fingerprint_varies_with_params():
 # ---------------------------------------------------------------------------
 
 
-def exchange_for(prompt: str, response: str) -> ChatExchange:
-    return ChatExchange.create(prompt, response, "test", CONFIG)
+def fingerprint_of(prompt: str) -> str:
+    return request_fingerprint(prompt, CONFIG.model_id, CONFIG.params)
 
 
 def test_store_roundtrip(tmp_path):
     store = TranscriptStore(tmp_path)
-    exchange = exchange_for("hello", "world")
-    record_exchange(store, exchange)
-    record = store.get(exchange.request_fingerprint)
+    store.put("hello", "world", CONFIG)
+    record = store.get(fingerprint_of("hello"))
+    assert record["fingerprint"] == fingerprint_of("hello")
     assert record["prompt"] == "hello" and record["response"] == "world"
     assert record["model_id"] == "test-model"
     assert set(record) == {"fingerprint", "prompt", "response", "model_id", "params", "timestamp"}
@@ -136,35 +136,33 @@ def test_store_roundtrip(tmp_path):
 
 def test_store_idempotent_write(tmp_path):
     store = TranscriptStore(tmp_path)
-    exchange = exchange_for("p", "r")
-    record_exchange(store, exchange)
-    first_bytes = store.path(exchange.request_fingerprint).read_bytes()
-    record_exchange(store, exchange)
-    assert store.path(exchange.request_fingerprint).read_bytes() == first_bytes
+    store.put("p", "r", CONFIG)
+    first_bytes = store.path(fingerprint_of("p")).read_bytes()
+    store.put("p", "r", CONFIG)
+    assert store.path(fingerprint_of("p")).read_bytes() == first_bytes
     assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 def test_store_distinct_params_distinct_entries(tmp_path):
     store = TranscriptStore(tmp_path)
     warm = BackendConfig(model_id="test-model", temperature=0.7)
-    record_exchange(store, ChatExchange.create("p", "r", "t", CONFIG))
-    record_exchange(store, ChatExchange.create("p", "r", "t", warm))
+    store.put("p", "r", CONFIG)
+    store.put("p", "r", warm)
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
 def test_store_leaves_no_temp_files(tmp_path):
     store = TranscriptStore(tmp_path)
-    record_exchange(store, exchange_for("p", "r"))
+    store.put("p", "r", CONFIG)
     assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_store_temp_name_is_private_to_the_write(tmp_path):
     # another writer's temp path for the same fingerprint must not collide
     store = TranscriptStore(tmp_path)
-    exchange = exchange_for("p", "r")
-    (tmp_path / f"{exchange.request_fingerprint}.tmp").mkdir()
-    record_exchange(store, exchange)
-    assert store.get(exchange.request_fingerprint)["response"] == "r"
+    (tmp_path / f"{fingerprint_of('p')}.tmp").mkdir()
+    store.put("p", "r", CONFIG)
+    assert store.get(fingerprint_of("p"))["response"] == "r"
 
 
 def test_store_failed_write_removes_temp_file(tmp_path, monkeypatch):
@@ -174,7 +172,7 @@ def test_store_failed_write_removes_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(gateway.os, "replace", refuse)
     store = TranscriptStore(tmp_path)
     with pytest.raises(StoreWriteFailure):
-        record_exchange(store, exchange_for("p", "r"))
+        store.put("p", "r", CONFIG)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -183,9 +181,9 @@ def test_store_failed_write_removes_temp_file(tmp_path, monkeypatch):
 )
 def test_corrupt_transcript_is_a_backend_failure(tmp_path, content):
     store = TranscriptStore(tmp_path)
-    path = store.path(request_fingerprint("p", CONFIG.model_id, CONFIG.params))
+    path = store.path(fingerprint_of("p"))
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    for backend in (ReplayBackend(CONFIG, store), RecordingBackend(CONFIG, store, live=FakeLive())):
+    for backend in (ReplayBackend(CONFIG, store), ReplayBackend(CONFIG, store, live=FakeLive())):
         with pytest.raises(CorruptTranscript) as err:
             backend.complete("p")
         assert isinstance(err.value, BackendFailure)
@@ -199,7 +197,7 @@ def test_corrupt_transcript_is_a_backend_failure(tmp_path, content):
 
 def test_replay_hit(tmp_path):
     store = TranscriptStore(tmp_path)
-    record_exchange(store, exchange_for("the prompt", "the answer"))
+    store.put("the prompt", "the answer", CONFIG)
     backend = ReplayBackend(CONFIG, store)
     assert backend.complete("the prompt") == "the answer"
 
@@ -214,8 +212,6 @@ def test_replay_miss_names_fingerprint(tmp_path):
 
 
 class FakeLive:
-    backend_id = "fake"
-
     def __init__(self, response="live answer"):
         self.response = response
         self.calls = 0
@@ -228,13 +224,35 @@ class FakeLive:
 def test_record_then_serve_from_cache(tmp_path):
     store = TranscriptStore(tmp_path)
     live = FakeLive()
-    backend = RecordingBackend(CONFIG, store, live=live)
+    backend = ReplayBackend(CONFIG, store, live=live)
     first = backend.complete("p")
     second = backend.complete("p")
     assert first == second == "live answer"
     assert live.calls == 1  # second call served from cache
     replay = ReplayBackend(CONFIG, TranscriptStore(tmp_path))
     assert replay.complete("p") == "live answer"
+
+
+def test_build_backend_modes(tmp_path):
+    assert RecordingBackend is ReplayBackend  # one cached backend, two names
+    assert isinstance(build_backend(CONFIG, "live"), LiveBackend)
+    replay = build_backend(CONFIG, "replay", tmp_path)
+    record = build_backend(CONFIG, "record", tmp_path)
+    assert isinstance(replay, ReplayBackend) and replay.live is None
+    assert isinstance(record, ReplayBackend) and isinstance(record.live, LiveBackend)
+
+
+@pytest.mark.parametrize(
+    "mode, cache_dir, message",
+    [
+        ("recrod", "cache", "unknown backend mode"),
+        ("record", None, "needs a cache directory"),
+        ("replay", None, "needs a cache directory"),
+    ],
+)
+def test_build_backend_rejects_bad_mode_or_missing_cache(tmp_path, mode, cache_dir, message):
+    with pytest.raises(ValueError, match=message):
+        build_backend(CONFIG, mode, cache_dir and tmp_path / cache_dir)
 
 
 def test_scripted_backend_order_and_exhaustion():
@@ -337,12 +355,13 @@ def test_backend_config_validation():
 
 def test_store_concurrent_writers(tmp_path):
     store = TranscriptStore(tmp_path)
-    exchanges = [exchange_for(f"p{i}", f"r{i}") for i in range(20)]
-    threads = [threading.Thread(target=record_exchange, args=(store, e)) for e in exchanges]
+    exchanges = [(f"p{i}", f"r{i}") for i in range(20)]
+    threads = [threading.Thread(target=store.put, args=(p, r, CONFIG)) for p, r in exchanges]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
     assert len(list(tmp_path.glob("*.json"))) == 20
-    for e in exchanges:
-        assert store.get(e.request_fingerprint)["response"] == e.response
+    for prompt, response in exchanges:
+        assert store.get(fingerprint_of(prompt))["response"] == response

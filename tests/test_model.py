@@ -122,7 +122,16 @@ def test_parse_extraction_deep_or_huge_json_is_malformed(text):
         parse_extraction_json(text)
 
 
-@pytest.mark.parametrize("attr", ['rowspan="99999999"', 'colspan="99999999"', 'colspan="1001"', 'rowspan="65535"'])
+@pytest.mark.parametrize(
+    "attr",
+    [
+        'rowspan="99999999"',
+        'colspan="99999999"',
+        'colspan="1001"',
+        'rowspan="65535"',
+        pytest.param('colspan="' + "9" * 5_000 + '"', id="colspan-5000-digits"),  # beyond int()'s digit limit
+    ],
+)
 def test_parse_extraction_span_beyond_html_limit_fails(attr):
     payload = json.dumps({"tables": [{"html_output": f"<table><tr><td {attr}>x</td></tr></table>"}]})
     with pytest.raises(HtmlParseFailure) as err:

@@ -8,12 +8,9 @@ from tablex.checker import Rule, run_sanity_check
 from tablex.errors import NoCandidateProduced, TransportError
 from tablex.gateway import (
     BackendConfig,
-    ChatExchange,
     PromptKind,
     ReplayBackend,
-    ScriptedBackend,
     TranscriptStore,
-    record_exchange,
     render_prompt,
 )
 from tablex.model import FlattenStyle, SourceText, Table, flatten_table, serialize_html
@@ -24,6 +21,8 @@ from tablex.pipeline import (
     run_ten,
     table_as_rows_text,
 )
+
+from scripted import ScriptedBackend
 
 
 def envelope(table: Table, token: str | None = None) -> str:
@@ -175,7 +174,7 @@ def test_replay_run_is_deterministic(tmp_path):
     table = Table.from_rows(header=[["A", "B"]], body=[["alpha", "1"], ["beta", "2"]])
     source = flatten_table(table, FlattenStyle.OCR)
     prompt = render_prompt(PromptKind.STRUCTURAL_DECOMPOSITION, {"Input Text": source.raw})
-    record_exchange(store, ChatExchange.create(prompt, envelope(table), "seed", config))
+    store.put(prompt, envelope(table), config)
 
     def run_once():
         backend = ReplayBackend(config, TranscriptStore(tmp_path))
@@ -230,7 +229,7 @@ def test_critique_replay_returns_fixture_bytes(tmp_path):
     fixture = "The collapsed FY21 values must be separated into FY21 and FY22 columns.\n"
     config = BackendConfig(model_id="critic-model")
     store = TranscriptStore(tmp_path)
-    record_exchange(store, ChatExchange.create(prompt, fixture, "seed", config))
+    store.put(prompt, fixture, config)
     backend = ReplayBackend(config, store)
     assert request_critique(table, report, backend) == fixture
 
