@@ -15,7 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import HtmlParseFailure, NoTasksFound, UnreadableFile
@@ -150,7 +150,12 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
 
 def _run_task(task: Task, cfg: PipelineConfig) -> TaskOutcome:
     result = run_ten(task.source, cfg)
-    metrics = evaluate(result.final, task.gold, task.source)
+    # the checker already scored the final table against the source
+    metrics = replace(
+        evaluate(result.final, task.gold),
+        coverage=result.report.coverage,
+        hallucination=result.report.hallucination_rate,
+    )
     return TaskOutcome(
         task_id=task.id,
         metrics=metrics,

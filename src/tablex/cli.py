@@ -72,12 +72,11 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     try:
         mode = "replay" if args.replay else "record" if args.record else "live"
         cache_dir = _cache_dir(args, config)
-        generator_cfg = _backend_config(config.get("generator", {}), args)
-        # the critic follows the generator (flag overrides included) unless the
-        # config file names its own backend
-        critic_cfg = BackendConfig(**config["critic"]) if "critic" in config else generator_cfg
-        generator: Backend = build_backend(generator_cfg, mode, cache_dir)
-        critic: Backend = build_backend(critic_cfg, mode, cache_dir)
+        generator: Backend = build_backend(_backend_config(config.get("generator", {}), args), mode, cache_dir)
+        # the critic shares the generator's backend unless the config file names its own
+        critic: Backend = generator
+        if "critic" in config:
+            critic = build_backend(BackendConfig(**config["critic"]), mode, cache_dir)
         pipeline_section = dict(config.get("pipeline", {}))
         prompt_alias = getattr(args, "prompt", None) or pipeline_section.pop("generation_prompt", "sd")
         if getattr(args, "last_iteration", False):

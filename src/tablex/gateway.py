@@ -223,9 +223,13 @@ class LiveBackend:
             if response.status_code < 200 or response.status_code >= 300:
                 raise TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
             try:
-                return response.json()["choices"][0]["message"]["content"]
+                content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"unexpected response shape: {exc}") from exc
+            if not isinstance(content, str):
+                # a stored non-string would make every later read of its fingerprint corrupt
+                raise TransportError(f"response content is {type(content).__name__}, not a string")
+            return content
         raise TransportError(f"request failed after {self.config.retries + 1} attempts: {last_error}")
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from .checker import ConvergenceThresholds, ValidationReport, is_converged, run_sanity_check
 from .errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, NoCandidateProduced
 from .gateway import Backend, PromptKind, render_prompt
-from .model import SourceText, Table, concat_partial_tables, normalize_rectangular, parse_extraction_json, serialize_html
+from .model import SourceText, Table, concat_partial_tables, parse_extraction_json, serialize_html
+from .model import normalize_rectangular  # noqa: F401  (perfbench/spans.py traces this name)
 
 _GENERATION_KINDS = (
     PromptKind.STRUCTURAL_DECOMPOSITION,
@@ -71,7 +72,11 @@ class PipelineResult:
     final: Table
     traces: list[IterationTrace]
     converged: bool
-    iterations_used: int
+    report: ValidationReport  # the checker's report on ``final``
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.traces)
 
     def to_dict(self, task_id: str | None = None) -> dict:
         payload = {
@@ -124,93 +129,71 @@ def request_critique(candidate: Table, report: ValidationReport, backend: Backen
 
 def _try_parse(raw: str) -> Table | None:
     try:
-        extraction = parse_extraction_json(raw)
-        return normalize_rectangular(concat_partial_tables(extraction))
+        return concat_partial_tables(parse_extraction_json(raw))
     except (MalformedJson, MissingTablesKey, HtmlParseFailure, EmptyExtraction):
         return None
 
 
-def _parse_with_retries(
-    raw: str,
-    retry_budget: int,
-    backend: Backend,
-    prompt: str,
-) -> tuple[str, Table | None, int]:
-    """Parse ``raw``; on failure re-ask the backend with the same prompt up
-    to ``retry_budget`` more times. Returns (last raw, table or None,
-    failure count)."""
+def _complete_and_parse(backend: Backend, prompt: str, retry_budget: int) -> tuple[str, Table | None, int]:
+    """Ask ``backend`` for ``prompt`` and parse the answer; on failure re-send
+    the same prompt up to ``retry_budget`` more times. Returns (last raw,
+    table or None, failure count)."""
     failures = 0
     while True:
+        raw = backend.complete(prompt)
         table = _try_parse(raw)
         if table is not None:
             return raw, table, failures
         failures += 1
         if failures > retry_budget:
             return raw, None, failures
-        raw = backend.complete(prompt)
 
 
 def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
     """Run the full loop on one input.
 
     Iteration 1 renders the configured generation prompt with no feedback;
-    later iterations render the regeneration prompt with the previous
-    critique and candidate. The loop stops at convergence or after
-    ``max_iterations``; the critic is only consulted when another
-    iteration will actually run.
+    later iterations render the regeneration prompt with the critique and
+    candidate of the latest trace that holds one. The loop stops at
+    convergence or after ``max_iterations``; the critic is only consulted
+    when another iteration will actually run.
     """
     traces: list[IterationTrace] = []
-    critique: str | None = None
-    last_candidate: Table | None = None
-    best: tuple[float, int, Table] | None = None
-    converged = False
-    final: Table | None = None
+    last: IterationTrace | None = None
+    best: IterationTrace | None = None
 
     for index in range(1, cfg.max_iterations + 1):
-        if critique is None or last_candidate is None:
+        if last is None:
             kind = cfg.generation_prompt
             prompt = render_prompt(kind, {"Input Text": source.raw})
         else:
             kind = PromptKind.REGENERATION
             prompt = render_prompt(
                 kind,
-                {"Critique": critique, "Original Table": table_as_rows_text(last_candidate)},
+                {"Critique": last.critique, "Original Table": table_as_rows_text(last.candidate)},
             )
-        raw = cfg.generator.complete(prompt)
-        raw, candidate, failures = _parse_with_retries(
-            raw, cfg.parse_retry_limit, cfg.generator, prompt
-        )
+        raw, candidate, failures = _complete_and_parse(cfg.generator, prompt, cfg.parse_retry_limit)
         trace = IterationTrace(index=index, prompt_kind=kind, raw_response=raw, parse_failures=failures)
         traces.append(trace)
         if candidate is None:
             continue
 
         trace.candidate = candidate
-        last_candidate = candidate
-        report = run_sanity_check(source, candidate)
-        trace.report = report
-        score = report.goodness_score - report.badness_score
-        if best is None or score >= best[0]:
-            best = (score, index, candidate)
+        trace.report = run_sanity_check(source, candidate)
+        last = trace
+        # ties go to the later trace
+        score = trace.report.goodness_score - trace.report.badness_score
+        if best is None or score >= best.report.goodness_score - best.report.badness_score:
+            best = trace
 
-        if is_converged(report, cfg.thresholds):
-            converged = True
-            final = candidate
-            break
+        if is_converged(trace.report, cfg.thresholds):
+            return PipelineResult(final=candidate, traces=traces, converged=True, report=trace.report)
         if index < cfg.max_iterations:
-            critique = request_critique(candidate, report, cfg.critic)
-            trace.critique = critique
+            trace.critique = request_critique(candidate, trace.report, cfg.critic)
 
-    if final is None:
-        if last_candidate is None:
-            raise NoCandidateProduced(
-                f"no iteration produced a parseable table in {len(traces)} attempts"
-            )
-        final = last_candidate if cfg.keep_last_iteration else best[2]
-
-    return PipelineResult(
-        final=final,
-        traces=traces,
-        converged=converged,
-        iterations_used=len(traces),
-    )
+    if last is None:
+        raise NoCandidateProduced(
+            f"no iteration produced a parseable table in {len(traces)} attempts"
+        )
+    chosen = last if cfg.keep_last_iteration else best
+    return PipelineResult(final=chosen.candidate, traces=traces, converged=False, report=chosen.report)

@@ -5,9 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
+import tablex.checker as checker
 import tablex.gateway as gateway
+import tablex.metrics as metrics
 from tablex.bench import ingest_dataset, run_bench, write_task_outputs
-from tablex.cli import cli
+from tablex.cli import _pipeline_config, build_parser, cli
 from tablex.errors import NoTasksFound, UnreadableFile
 from tablex.gateway import (
     BackendConfig,
@@ -150,6 +152,27 @@ def test_bench_half_wrong_em_fifty(tmp_path):
     assert per_em == [1, 1, 0, 0]
     expected_cvm = sum(o.metrics.cvm for o in report.per_task) / 4
     assert report.aggregates["mean_cvm"] == pytest.approx(expected_cvm)
+    for outcome, task in zip(report.per_task, tasks):
+        assert outcome.metrics == metrics.evaluate(outcome.result.final, task.gold, task.source)
+
+
+def test_bench_scores_each_candidate_once(tmp_path, monkeypatch):
+    """The checker's report on the final table supplies the source scores;
+    bench does not compute them a second time."""
+    data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
+    scored = []
+    for module in (checker, metrics):
+        original = module.compute_hallucination
+
+        def counting(source, table, original=original):
+            scored.append(table)
+            return original(source, table)
+
+        monkeypatch.setattr(module, "compute_hallucination", counting)
+    report = run_bench(ingest_dataset(data_dir, "csv"), replay_config(cache_dir), parallelism=2)
+    candidates = [t for o in report.per_task for t in o.result.traces if t.candidate is not None]
+    assert len(candidates) == 4
+    assert len(scored) == len(candidates)
 
 
 def test_bench_isolates_replay_miss(tmp_path):
@@ -309,6 +332,18 @@ def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert err.startswith(f"tablex: {path}: ") and err.count("\n") == 1
     assert repr(named) in err
+
+
+@pytest.mark.parametrize("config, shared", [({}, True), ({"critic": {"model_id": "critic-model"}}, False)])
+@pytest.mark.parametrize("mode", ["--replay", "--record"])
+def test_cli_critic_shares_generator_backend(tmp_path, config, shared, mode):
+    """Without a critic section the critic is the generator's backend object:
+    one transcript store and, when recording, one in-flight limit."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["extract", "input.txt", mode, "--cache-dir", str(tmp_path / "cache"), "--config", str(config_path)]
+    cfg = _pipeline_config(build_parser().parse_args(argv))
+    assert (cfg.critic is cfg.generator) is shared
 
 
 def test_cli_bench_end_to_end(tmp_path, capsys):

@@ -346,6 +346,22 @@ def test_live_client_error_is_not_retried(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("content", [None, 42, ["text"]], ids=["null", "number", "list"])
+def test_record_rejects_non_string_content(tmp_path, monkeypatch, content):
+    """A non-string answer is a transport error and is never stored, so it
+    cannot poison its fingerprint for later reads."""
+    monkeypatch.setenv("TEN_API_KEY", "secret")
+
+    def fake_post(url, **kwargs):
+        return FakeResponse(payload={"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    backend = build_backend(CONFIG, "record", tmp_path)
+    with pytest.raises(TransportError):
+        backend.complete("prompt")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_backend_config_validation():
     with pytest.raises(ValueError):
         BackendConfig(retries=-1)

@@ -456,9 +456,10 @@ def _parse_and_assemble(text: str) -> None:
     """The pipeline's route from a response to a candidate table; only
     package errors may leave it."""
     try:
-        normalize_rectangular(concat_partial_tables(parse_extraction_json(text)))
+        table = concat_partial_tables(parse_extraction_json(text))
     except TablexError:
-        pass
+        return
+    assert normalize_rectangular(table) == table  # the pipeline lays a candidate out once
 
 
 @settings(max_examples=300, deadline=None)

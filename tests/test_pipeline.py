@@ -62,6 +62,7 @@ def test_converges_first_iteration():
     result = run_ten(source, config_for(generator, critic))
     assert result.converged and result.iterations_used == 1
     assert result.final == table
+    assert result.report == run_sanity_check(source, result.final)
     assert result.traces[0].critique is None
     assert critic.calls == []  # no critique once converged
 
@@ -78,6 +79,7 @@ def test_two_step_merged_cell_repair():
     assert trace1.critique == critique_text
     assert trace2.critique is None
     assert result.final == FIXED_TABLE
+    assert result.report == run_sanity_check(MERGED_SOURCE, result.final)
     # the regeneration prompt carried the critique and the old table
     regen_prompt = generator.calls[1]
     assert critique_text in regen_prompt
@@ -94,6 +96,7 @@ def test_exhaustion_returns_iteration_three_candidate():
     assert result.iterations_used == 3
     assert result.final == sparse
     assert result.traces[2].candidate == sparse
+    assert result.report == run_sanity_check(source, result.final)
 
 
 def test_iteration_one_prompt_has_no_feedback():
@@ -129,6 +132,7 @@ def test_best_so_far_vs_last_iteration():
         config_for(ScriptedBackend(responses), ScriptedBackend(["fix"]), max_iterations=2),
     )
     assert not best.converged and best.final == strong
+    assert best.report == run_sanity_check(source, best.final)
 
     last = run_ten(
         source,
@@ -140,6 +144,7 @@ def test_best_so_far_vs_last_iteration():
         ),
     )
     assert last.final == weak
+    assert last.report == run_sanity_check(source, last.final)
 
 
 def test_no_candidate_produced():
