@@ -229,9 +229,8 @@ def write_task_outputs(outcomes: list[TaskOutcome], directory: str | Path) -> No
     for outcome in outcomes:
         if outcome.result is None:
             continue
-        base = directory / outcome.task_id
-        base.with_suffix(".trace.json").write_text(
-            outcome.result.to_json(task_id=outcome.task_id), encoding="utf-8"
-        )
-        base.with_suffix(".html").write_text(serialize_html(outcome.result.final), encoding="utf-8")
-        base.with_suffix(".csv").write_text(serialize_csv(outcome.result.final), encoding="utf-8")
+        # appended, not with_suffix: tasks "t.1" and "t.2" must not both write "t.html"
+        base = str(directory / outcome.task_id)
+        Path(base + ".trace.json").write_text(outcome.result.to_json(task_id=outcome.task_id), encoding="utf-8")
+        Path(base + ".html").write_text(serialize_html(outcome.result.final), encoding="utf-8")
+        Path(base + ".csv").write_text(serialize_csv(outcome.result.final), encoding="utf-8")

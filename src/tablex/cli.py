@@ -142,6 +142,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise UsageError(f"--parallel must be at least 1, not {args.parallel}")
+    if args.timeout is not None and not args.timeout > 0:
+        raise UsageError(f"--timeout must be a positive number of seconds, not {args.timeout:g}")
     tasks = benchmod.ingest_dataset(args.dir, args.format)
     cfg = _pipeline_config(args)
     timeout = args.timeout if args.timeout else (None if args.replay else 120.0)

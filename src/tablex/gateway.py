@@ -251,6 +251,8 @@ class ReplayBackend:
         if self.live is None:
             raise ReplayMissError(fingerprint)
         response = self.live.complete(prompt)
+        if not isinstance(response, str):  # stored, it would make every later read corrupt
+            raise TransportError(f"live backend answered {type(response).__name__}, not a string")
         self.store.put(prompt, response, self.config)
         return response
 

@@ -59,50 +59,37 @@ def _as_spec(value) -> tuple[str, int, int]:
     return (str(text), int(rowspan), int(colspan))
 
 
-def _layout(
-    header_specs: Sequence[Sequence[tuple[str, int, int]]],
-    body_specs: Sequence[Sequence[tuple[str, int, int]]],
-    pad: bool,
-) -> "Table":
-    """Place cells on a grid, honoring row/column spans.
+_Specs = Sequence[Sequence[tuple[str, int, int]]]  # rows of (text, rowspan, colspan)
+_GRID_CAP = 1_000_000  # positions (rows × width): 20× a 5,001-row, 10-column table
+_END = (float("inf"),) * 3  # ends a row's sorted spans
 
-    Cells are placed left to right, skipping positions occupied by spans
-    from earlier rows. With ``pad`` set, every row is right-padded with
-    empty unit cells up to the widest effective row.
-    """
-    all_specs = list(header_specs) + list(body_specs)
-    n_header = len(header_specs)
 
-    occupied: dict[tuple[int, int], bool] = {}
-    placed: list[list[Cell]] = []
-    extents: list[int] = []
+def _place(header_specs: _Specs, body_specs: _Specs) -> "Table":
+    """Place cells left to right on a grid, without padding, skipping the
+    columns that rowspans from earlier rows cover: ``(first col, end col,
+    last row)`` intervals. A grid over ``_GRID_CAP`` positions (rows × width)
+    is an ``HtmlParseFailure``, raised as soon as a row reaches that width."""
+    all_specs = [*header_specs, *body_specs]
+    spans: list[tuple[int, int, int]] = []
+    placed, width = [], 0
     for r, row in enumerate(all_specs):
-        cells: list[Cell] = []
-        col = 0
+        spans = [span for span in spans if span[2] >= r]
+        covered, i, col, cells = sorted(spans) + [_END], 0, 0, []
         for text, rowspan, colspan in row:
-            while occupied.get((r, col)):
-                col += 1
+            while covered[i][0] <= col:
+                col, i = max(col, covered[i][1]), i + 1
             cells.append(Cell(text, r, col, rowspan, colspan))
-            for dr in range(min(rowspan, len(all_specs) - r)):
-                for dc in range(colspan):
-                    occupied[(r + dr, col + dc)] = True
+            if rowspan > 1:
+                spans.append((col, col + colspan, r + rowspan - 1))
             col += colspan
-        while occupied.get((r, col)):
-            col += 1
-        placed.append(cells)
-        extents.append(col)
-
-    width = max(extents, default=0)
-    if pad:
-        for r, cells in enumerate(placed):
-            col = extents[r]
-            while col < width:
-                if not occupied.get((r, col)):
-                    cells.append(Cell("", r, col, 1, 1))
-                col += 1
-
-    rows = tuple(tuple(cells) for cells in placed)
-    return Table(header_rows=rows[:n_header], body_rows=rows[n_header:], width=width)
+        while covered[i][0] <= col:
+            col, i = max(col, covered[i][1]), i + 1
+        width = max(width, col)
+        if len(all_specs) * width > _GRID_CAP:
+            raise HtmlParseFailure(f"{len(all_specs)} rows of {width}+ columns exceed {_GRID_CAP} grid positions")
+        placed.append(tuple(cells))
+    n_header = len(header_specs)
+    return Table(tuple(placed[:n_header]), tuple(placed[n_header:]), width)
 
 
 @dataclass(frozen=True)
@@ -131,11 +118,6 @@ class Table:
                     columns[cell.col][r] = cell.text
         return columns
 
-    def row_specs(self) -> tuple[list[list[tuple[str, int, int]]], list[list[tuple[str, int, int]]]]:
-        header = [[(c.text, c.rowspan, c.colspan) for c in row] for row in self.header_rows]
-        body = [[(c.text, c.rowspan, c.colspan) for c in row] for row in self.body_rows]
-        return header, body
-
     @classmethod
     def from_rows(
         cls,
@@ -146,17 +128,28 @@ class Table:
         """Build a table from row lists of cell specs (str or (text, rs, cs))."""
         header_specs = [[_as_spec(v) for v in row] for row in header]
         body_specs = [[_as_spec(v) for v in row] for row in body]
-        return _layout(header_specs, body_specs, pad=normalized)
+        table = _place(header_specs, body_specs)
+        return normalize_rectangular(table) if normalized else table
 
 
 def normalize_rectangular(table: Table) -> Table:
-    """Right-pad every row with empty cells to the table's effective width.
+    """Right-pad every row of a placed table with empty cells to its width.
 
     Spanning cells are preserved, never split; positions they cover are not
-    padded. Idempotent, and never alters any existing cell text.
+    padded. Existing cells are kept as they are, so this is idempotent.
     """
-    header, body = table.row_specs()
-    return _layout(header, body, pad=True)
+    spans: list[tuple[int, int, int]] = []
+    padded: list[tuple[Cell, ...]] = []
+    for r, row in enumerate(table.rows):
+        spans = [span for span in spans if span[2] >= r]
+        col, pads = (row[-1].col + row[-1].colspan if row else 0), []
+        for first, end, _ in sorted(spans) + [_END]:
+            pads += [Cell("", r, c, 1, 1) for c in range(col, min(first, table.width))]
+            col = max(col, end)
+        spans += [(c.col, c.col + c.colspan, r + c.rowspan - 1) for c in row if c.rowspan > 1]
+        padded.append(row + tuple(pads) if pads else row)
+    n_header = len(table.header_rows)
+    return Table(tuple(padded[:n_header]), tuple(padded[n_header:]), table.width)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +281,8 @@ class _TableHtmlParser(HTMLParser):
         return list(self._open)
 
 
-def parse_html_table(html: str) -> Table:
-    """Parse the first <table> element of ``html`` into an (unpadded) Table.
-
-    <thead> rows become header rows, everything else body rows; <th> and
-    <td> are both accepted in either section, and rowspan/colspan attributes
-    are preserved on the cells.
-    """
+def _parse_specs(html: str) -> tuple[_Specs, _Specs]:
+    """The ``(text, rowspan, colspan)`` header and body rows of ``html``'s first <table>."""
     parser = _TableHtmlParser()
     try:
         parser.feed(html)
@@ -306,10 +294,19 @@ def parse_html_table(html: str) -> Table:
     if not parser.saw_table:
         raise HtmlParseFailure("no <table> element found")
     if parser.unbalanced():
-        raise HtmlParseFailure(
-            "unclosed structural tags: " + ", ".join(parser.unbalanced())
-        )
-    return _layout(parser.header_specs, parser.body_specs, pad=False)
+        raise HtmlParseFailure("unclosed structural tags: " + ", ".join(parser.unbalanced()))
+    return tuple(map(tuple, parser.header_specs)), tuple(map(tuple, parser.body_specs))
+
+
+def parse_html_table(html: str) -> Table:
+    """Parse the first <table> element of ``html`` into an unpadded Table.
+
+    <thead> rows become header rows, everything else body rows; <th> and
+    <td> are both accepted in either section, and rowspan/colspan attributes
+    are preserved on the cells. A grid of more than 1,000,000 positions
+    (rows × width) is an ``HtmlParseFailure``.
+    """
+    return _place(*_parse_specs(html))
 
 
 def serialize_html(table: Table) -> str:
@@ -345,8 +342,13 @@ def serialize_html(table: Table) -> str:
 
 @dataclass(frozen=True)
 class PartialTable:
+    """One table of an extraction response, as the parser's ``(text,
+    rowspan, colspan)`` header and body rows. It is not placed on its own:
+    its rowspans may run on into the next part once the parts are stitched."""
+
     starting_token: str | None
-    table: Table
+    header: _Specs
+    body: _Specs
 
 
 @dataclass(frozen=True)
@@ -421,10 +423,10 @@ def parse_extraction_json(text: str) -> ExtractionResult:
         if token is not None and not isinstance(token, str):
             token = str(token)
         try:
-            table = parse_html_table(html)
+            header, body = _parse_specs(html)
         except HtmlParseFailure as exc:
             raise HtmlParseFailure(f"entry {index}: {exc}", entry_index=index) from exc
-        tables.append(PartialTable(starting_token=token, table=table))
+        tables.append(PartialTable(token, header, body))
 
     delimiter = _entry_field(obj, "row_delimiter")
     if delimiter is not None and not isinstance(delimiter, str):
@@ -433,23 +435,23 @@ def parse_extraction_json(text: str) -> ExtractionResult:
 
 
 def concat_partial_tables(result: ExtractionResult) -> Table:
-    """Stitch partial tables into one.
+    """Stitch partial tables into one and place it once.
 
     The first table's header is kept. Every subsequent table contributes its
     starting token (when present) as a single-cell body row, followed by its
-    own body rows; subsequent headers are dropped as repeats. The result is
-    normalized rectangular.
+    own body rows; subsequent headers are dropped as repeats. Rowspans run
+    across part boundaries. The result is normalized rectangular; a grid of
+    more than 1,000,000 positions is an ``HtmlParseFailure``.
     """
     if not result.tables:
         raise EmptyExtraction("extraction contained zero tables")
-    first = result.tables[0]
-    header, body = first.table.row_specs()
-    for part in result.tables[1:]:
+    first, *rest = result.tables
+    body = list(first.body)
+    for part in rest:
         if part.starting_token is not None:
-            body.append([(part.starting_token, 1, 1)])
-        _, part_body = part.table.row_specs()
-        body.extend(part_body)
-    return _layout(header, body, pad=True)
+            body.append(((part.starting_token, 1, 1),))
+        body.extend(part.body)
+    return normalize_rectangular(_place(first.header, body))
 
 
 # ---------------------------------------------------------------------------

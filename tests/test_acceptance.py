@@ -347,10 +347,10 @@ def test_criterion_8_parsing_fidelity(listing_json, balance_sheet_gold_html, cor
         "Biological Process",
         "Molecular Function",
     ]
-    header = [c.text for c in result.tables[0].table.header_rows[0]]
+    header = [text for text, _, _ in result.tables[0].header[0]]
     assert len(header) == 5 and header[0] == "GO Category"
 
-    fixtures = [normalize_rectangular(t.table) for t in result.tables]
+    fixtures = [Table.from_rows(body=t.body, header=t.header) for t in result.tables]
     fixtures.append(normalize_rectangular(parse_html_table(balance_sheet_gold_html)))
     fixtures.append(concat_partial_tables(result))
     for fx in corrupted_corpus:

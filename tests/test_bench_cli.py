@@ -219,6 +219,22 @@ def test_write_task_outputs(tmp_path):
     assert [c.text for c in html_table.body_rows[0]] == [c.text for c in csv_table.body_rows[0]]
 
 
+def test_write_task_outputs_dotted_ids(tmp_path):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    for index, path in enumerate(sorted(data_dir.glob("t*.csv"))[:2], 1):
+        path.rename(data_dir / f"t.{index}.csv")
+    tasks = [task for task in ingest_dataset(data_dir, "csv") if task.id.startswith("t.")]
+    assert [task.id for task in tasks] == ["t.1", "t.2"]
+    report = run_bench(tasks, replay_config(cache_dir))
+    out = tmp_path / "outputs"
+    write_task_outputs(report.per_task, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "t.1.csv", "t.1.html", "t.1.trace.json", "t.2.csv", "t.2.html", "t.2.trace.json",
+    ]  # fmt: skip
+    for task in tasks:
+        assert parse_csv_table((out / f"{task.id}.csv").read_text()) == task.gold
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -405,6 +421,19 @@ def test_cli_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--parallel", "0"), ("--parallel", "-3"), ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan")],
+)
+def test_cli_bench_bad_parallel_or_timeout_is_usage_error(tmp_path, capsys, flag, value):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    argv = ["bench", str(data_dir), "--format", "csv", "--replay", "--cache-dir", str(cache_dir)]
+    assert cli(argv + ["--model", MODEL, "--report", str(tmp_path / "r.json"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {flag} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_missing_file_exit_one(tmp_path, capsys):
     assert cli(["eval", str(tmp_path / "nope.html"), str(tmp_path / "nope.html")]) == 1
     assert cli(["bench", str(tmp_path / "void"), "--format", "csv", "--report", "r.json"]) == 1
@@ -509,6 +538,22 @@ def test_cli_unreadable_input_is_one_line_task_failure(tmp_path, capsys, command
     assert cli(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"tablex: {bad_file}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_cli_table_over_grid_cap_is_one_line_task_failure(tmp_path, capsys, command):
+    # each row's cell lands 1,000 columns right of the last: 40 × 40,000 positions
+    huge = tmp_path / "huge.html"
+    huge.write_text("<table>" + '<tr><td rowspan="65534" colspan="1000">x</td></tr>' * 40 + "</table>")
+    source = tmp_path / "src.txt"
+    source.write_text("x")
+    if command == "check":
+        argv = ["check", str(huge), "--source", str(source)]
+    else:
+        argv = ["eval", str(huge), str(huge)]
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {huge}: cannot parse table: ") and err.count("\n") == 1
 
 
 def test_cli_extract_record_then_replay(tmp_path, monkeypatch):

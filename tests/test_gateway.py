@@ -233,6 +233,18 @@ def test_record_then_serve_from_cache(tmp_path):
     assert replay.complete("p") == "live answer"
 
 
+@pytest.mark.parametrize("answer", [None, 42, ["text"]], ids=["null", "number", "list"])
+def test_record_rejects_non_string_live_answer(tmp_path, answer):
+    """Any live backend's non-string answer is a transport error and is
+    never stored, so the next call asks again instead of reading a corrupt
+    transcript."""
+    backend = ReplayBackend(CONFIG, TranscriptStore(tmp_path), live=FakeLive(answer))
+    for _ in range(2):
+        with pytest.raises(TransportError):
+            backend.complete("p")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_backend_modes(tmp_path):
     assert RecordingBackend is ReplayBackend  # one cached backend, two names
     assert isinstance(build_backend(CONFIG, "live"), LiveBackend)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,16 @@ def texts(rows):
     return [[c.text for c in row] for row in rows]
 
 
+def spec_texts(rows):
+    return [[text for text, _, _ in row] for row in rows]
+
+
+def partial(token, table):
+    """A PartialTable holding the cell specs of ``table``."""
+    specs = lambda rows: tuple(tuple((c.text, c.rowspan, c.colspan) for c in row) for row in rows)
+    return PartialTable(token, specs(table.header_rows), specs(table.body_rows))
+
+
 # ---------------------------------------------------------------------------
 # SourceText
 # ---------------------------------------------------------------------------
@@ -57,8 +69,8 @@ def test_parse_extraction_listing(listing_json):
         "Biological Process",
         "Molecular Function",
     ]
-    first = result.tables[0].table
-    header = texts(first.header_rows)
+    first = result.tables[0]
+    header = spec_texts(first.header)
     assert len(header) == 1 and len(header[0]) == 5
     assert header[0][0] == "GO Category"
     assert result.row_delimiter is None
@@ -198,6 +210,40 @@ def test_parse_html_span_at_html_limit_marks_only_existing_rows():
     assert table.width == 1001
 
 
+def _tall_wide_response(rows: int) -> str:
+    """One ``rowspan="65534" colspan="1000"`` cell per row: each row's cell
+    lands 1,000 columns right of the last, so the grid is rows × rows·1,000."""
+    html = "<table>" + '<tr><td rowspan="65534" colspan="1000">x</td></tr>' * rows + "</table>"
+    return json.dumps({"tables": [{"html_output": html}]})
+
+
+def test_grid_over_cap_fails_fast_and_small():
+    response = _tall_wide_response(80)  # 80 × 80,000 positions, 4 KB
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(HtmlParseFailure, match="grid positions"):
+            concat_partial_tables(parse_extraction_json(response))
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 20 * 2**20
+
+
+def test_grid_under_cap_is_accepted():
+    table = concat_partial_tables(parse_extraction_json(_tall_wide_response(20)))  # 400,000 positions
+    assert (len(table.rows), table.width) == (20, 20_000)
+    assert [c.col for row in table.rows for c in row if c.text == "x"] == [r * 1000 for r in range(20)]
+
+
+def test_parse_html_grid_over_cap_fails():
+    html = json.loads(_tall_wide_response(40))["tables"][0]["html_output"]
+    with pytest.raises(HtmlParseFailure, match="grid positions"):
+        parse_html_table(html)
+
+
 def test_parse_html_requires_table():
     with pytest.raises(HtmlParseFailure):
         parse_html_table("<div>just text</div>")
@@ -272,17 +318,48 @@ def test_concat_listing(listing_json):
 def test_concat_single_table_is_identity(listing_json):
     html = json.loads(listing_json)["tables"][0]["html_output"]
     table = parse_html_table(html)
-    result = ExtractionResult(tables=(PartialTable(None, table),))
+    result = ExtractionResult(tables=(partial(None, table),))
     assert concat_partial_tables(result) == normalize_rectangular(table)
 
 
 def test_concat_pads_to_widest():
     small = Table.from_rows(body=[["a", "b"]], header=[["H1", "H2"]])
     wide = Table.from_rows(body=[["c", "d", "e"]])
-    result = ExtractionResult(tables=(PartialTable(None, small), PartialTable("S", wide)))
+    result = ExtractionResult(tables=(partial(None, small), partial("S", wide)))
     combined = concat_partial_tables(result)
     assert combined.width == 3
     assert texts(combined.body_rows) == [["a", "b", ""], ["S", "", ""], ["c", "d", "e"]]
+
+
+def test_concat_spans_cross_part_boundaries():
+    # "tall" runs from part 1's last row through the token row into part 2's
+    # first row, where "wide" starts left of it and spans over its column
+    part1 = (
+        "<table><thead><tr><th>H1</th><th>H2</th><th>H3</th></tr></thead><tbody>"
+        "<tr><td>a</td><td>b</td><td>c</td></tr>"
+        '<tr><td>d</td><td rowspan="3">tall</td><td>e</td></tr>'
+        "</tbody></table>"
+    )
+    part2 = (
+        "<table><thead><tr><th>dropped</th></tr></thead><tbody>"
+        '<tr><td colspan="2">wide</td><td>f</td></tr>'
+        "<tr><td>g</td><td>h</td><td>i</td><td>j</td></tr>"
+        "</tbody></table>"
+    )
+    payload = json.dumps(
+        {"tables": [{"html_output": part1}, {"starting_token": "S", "html_output": part2}]}
+    )
+    combined = concat_partial_tables(parse_extraction_json(payload))
+    assert combined.width == 4
+    assert [[(c.text, c.row, c.col, c.rowspan, c.colspan) for c in row] for row in combined.rows] == [
+        [("H1", 0, 0, 1, 1), ("H2", 0, 1, 1, 1), ("H3", 0, 2, 1, 1), ("", 0, 3, 1, 1)],
+        [("a", 1, 0, 1, 1), ("b", 1, 1, 1, 1), ("c", 1, 2, 1, 1), ("", 1, 3, 1, 1)],
+        [("d", 2, 0, 1, 1), ("tall", 2, 1, 3, 1), ("e", 2, 2, 1, 1), ("", 2, 3, 1, 1)],
+        [("S", 3, 0, 1, 1), ("", 3, 2, 1, 1), ("", 3, 3, 1, 1)],
+        [("wide", 4, 0, 1, 2), ("f", 4, 2, 1, 1), ("", 4, 3, 1, 1)],
+        [("g", 5, 0, 1, 1), ("h", 5, 1, 1, 1), ("i", 5, 2, 1, 1), ("j", 5, 3, 1, 1)],
+    ]
+    assert len(combined.header_rows) == 1
 
 
 def test_concat_empty_extraction():
@@ -405,7 +482,7 @@ def test_property_flatten_charset(table):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.one_of(st.none(), st.text("AB", min_size=1, max_size=3)), tables()), min_size=1, max_size=4))
 def test_property_concat_row_count(parts):
-    result = ExtractionResult(tables=tuple(PartialTable(tok, t) for tok, t in parts))
+    result = ExtractionResult(tables=tuple(partial(tok, t) for tok, t in parts))
     combined = concat_partial_tables(result)
     body_rows = sum(len(t.body_rows) for _, t in parts)
     tokens = sum(1 for tok, _ in parts[1:] if tok is not None)
