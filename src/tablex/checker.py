@@ -326,27 +326,42 @@ def compute_coverage(source: SourceText, table: Table) -> float:
     return 1.0 - uncovered / total
 
 
-def _cell_coverage(text: str, source: SourceText) -> float:
-    """Alphanumeric-weighted fraction of the cell's tokens found in the
-    source. Tokens are matched as substrings of the raw source so that any
-    contiguous excerpt of the source scores 1, partial matches included."""
-    denom = _alnum_len(text)
-    if denom == 0:
-        return 1.0
-    matched = sum(_alnum_len(tok) for tok in text.split() if tok in source.raw)
-    return matched / denom
-
-
 def compute_hallucination(source: SourceText, table: Table) -> float:
-    """Mean over body rows of the mean per-cell uncovered fraction."""
+    """Mean over body rows of the mean per-cell uncovered fraction.
+
+    A cell's coverage is the alphanumeric-weighted fraction of its tokens
+    that occur as substrings of the raw source, so any contiguous excerpt
+    of the source scores 1, partial matches included; a cell without
+    alphanumerics counts as covered. A token holds no whitespace, so it
+    occurs in the raw source exactly when it occurs in one source token.
+    A token equal to a source token is answered from their set, and each
+    other distinct token scans the raw source once per call: the cost is
+    linear in the source and the table, plus O(|source|) per such token.
+    """
     rows = table.body_rows
     if not rows:
         return 0.0
+    in_source = dict.fromkeys(source.tokens, True)
+
+    def found(tok: str) -> bool:
+        hit = in_source.get(tok)
+        if hit is None:
+            hit = in_source[tok] = tok in source.raw
+        return hit
+
+    def uncovered(text: str) -> float:
+        denom = _alnum_len(text)
+        if denom == 0:
+            return 0.0
+        # whitespace is never alphanumeric, so ``denom`` sums the tokens' weights
+        matched = denom - sum(_alnum_len(tok) for tok in text.split() if not found(tok))
+        return 1.0 - matched / denom
+
     total = 0.0
     for row in rows:
         if not row:
             continue
-        total += sum(1.0 - _cell_coverage(cell.text, source) for cell in row) / len(row)
+        total += sum(uncovered(cell.text) for cell in row) / len(row)
     return total / len(rows)
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import bench as benchmod
@@ -144,8 +145,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise UsageError(f"--parallel must be at least 1, not {args.parallel}")
-    if args.timeout is not None and not args.timeout > 0:
-        raise UsageError(f"--timeout must be a positive number of seconds, not {args.timeout:g}")
+    # a wait longer than threading.TIMEOUT_MAX raises OverflowError
+    if args.timeout is not None and not 0 < args.timeout <= threading.TIMEOUT_MAX:
+        raise UsageError(
+            f"--timeout must be a positive number of seconds up to {threading.TIMEOUT_MAX:g}, not {args.timeout:g}"
+        )
     tasks = benchmod.ingest_dataset(args.dir, args.format)
     cfg = _pipeline_config(args)
     timeout = args.timeout if args.timeout else (None if args.replay else 120.0)

@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from html.parser import HTMLParser
 from typing import Iterator, Sequence
 
@@ -26,12 +27,12 @@ class SourceText:
     """A delimiter-free input text.
 
     ``tokens``, the whitespace-delimited chunks, is the view the coverage
-    computation counts.
+    and hallucination computations read; it is split once per instance.
     """
 
     raw: str
 
-    @property
+    @cached_property
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.raw.split())
 

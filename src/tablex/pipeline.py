@@ -54,6 +54,7 @@ class IterationTrace:
     report: ValidationReport | None = None
     critique: str | None = None
     parse_failures: int = 0
+    parse_errors: list[str] = field(default_factory=list)  # "ClassName: message" per failed parse
 
     def to_dict(self) -> dict:
         return {
@@ -64,6 +65,7 @@ class IterationTrace:
             "report": None if self.report is None else self.report.to_dict(),
             "critique": self.critique,
             "parse_failures": self.parse_failures,
+            "parse_errors": self.parse_errors,
         }
 
 
@@ -127,26 +129,29 @@ def request_critique(candidate: Table, report: ValidationReport, backend: Backen
     return backend.complete(prompt)
 
 
-def _try_parse(raw: str) -> Table | None:
+def _try_parse(raw: str) -> Table | str:
+    """The table ``raw`` holds, or why it holds none as "ClassName: message"."""
     try:
         return concat_partial_tables(parse_extraction_json(raw))
-    except (MalformedJson, MissingTablesKey, HtmlParseFailure, EmptyExtraction):
-        return None
+    except (MalformedJson, MissingTablesKey, HtmlParseFailure, EmptyExtraction) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def _complete_and_parse(backend: Backend, prompt: str, retry_budget: int) -> tuple[str, Table | None, int]:
+def _complete_and_parse(
+    backend: Backend, prompt: str, retry_budget: int
+) -> tuple[str, Table | None, list[str]]:
     """Ask ``backend`` for ``prompt`` and parse the answer; on failure re-send
     the same prompt up to ``retry_budget`` more times. Returns (last raw,
-    table or None, failure count)."""
-    failures = 0
+    table or None, one reason per failed parse)."""
+    errors: list[str] = []
     while True:
         raw = backend.complete(prompt)
-        table = _try_parse(raw)
-        if table is not None:
-            return raw, table, failures
-        failures += 1
-        if failures > retry_budget:
-            return raw, None, failures
+        parsed = _try_parse(raw)
+        if isinstance(parsed, Table):
+            return raw, parsed, errors
+        errors.append(parsed)
+        if len(errors) > retry_budget:
+            return raw, None, errors
 
 
 def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
@@ -172,8 +177,10 @@ def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
                 kind,
                 {"Critique": last.critique, "Original Table": table_as_rows_text(last.candidate)},
             )
-        raw, candidate, failures = _complete_and_parse(cfg.generator, prompt, cfg.parse_retry_limit)
-        trace = IterationTrace(index=index, prompt_kind=kind, raw_response=raw, parse_failures=failures)
+        raw, candidate, errors = _complete_and_parse(cfg.generator, prompt, cfg.parse_retry_limit)
+        trace = IterationTrace(
+            index=index, prompt_kind=kind, raw_response=raw, parse_failures=len(errors), parse_errors=errors
+        )
         traces.append(trace)
         if candidate is None:
             continue

@@ -423,7 +423,15 @@ def test_cli_usage_errors_exit_two(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--parallel", "0"), ("--parallel", "-3"), ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan")],
+    [
+        ("--parallel", "0"),
+        ("--parallel", "-3"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+        ("--timeout", "nan"),
+        ("--timeout", "1e10"),  # above threading.TIMEOUT_MAX
+        ("--timeout", "inf"),
+    ],
 )
 def test_cli_bench_bad_parallel_or_timeout_is_usage_error(tmp_path, capsys, flag, value):
     data_dir, cache_dir = seed_dataset(tmp_path)

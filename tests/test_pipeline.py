@@ -167,6 +167,22 @@ def test_parse_failure_then_recovery_uses_generation_prompt():
     assert generator.calls[0] == generator.calls[1]  # re-rendered generation prompt
 
 
+def test_parse_errors_name_each_failed_parse_and_replay_identically():
+    table = Table.from_rows(body=[["alpha", "beta"]])
+    source = SourceText("alpha beta")
+
+    def run() -> str:
+        generator = ScriptedBackend(["not json", envelope(table)])
+        return run_ten(source, config_for(generator, parse_retry_limit=1)).to_json(task_id="t")
+
+    first = run()
+    trace = json.loads(first)["traces"][0]
+    assert trace["parse_failures"] == 1
+    assert trace["parse_errors"] == ["MalformedJson: no parseable JSON object in response"]
+    assert trace["candidate_html"] is not None
+    assert run() == first
+
+
 def test_backend_failure_propagates():
     generator = ScriptedBackend([])  # exhausted immediately
     with pytest.raises(TransportError):
@@ -305,4 +321,5 @@ def test_trace_serialization_shape():
         "report",
         "critique",
         "parse_failures",
+        "parse_errors",
     }
