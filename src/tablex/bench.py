@@ -14,11 +14,11 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import HtmlParseFailure, NoTasksFound, UnreadableFile
+from .errors import HtmlParseFailure, NoTasksFound, TaskTimeout, UnreadableFile
+from .gateway import Backend
 from .metrics import MetricReport, evaluate
 from .model import (
     FlattenStyle,
@@ -98,12 +98,10 @@ def load_table(path: str | Path) -> Table:
     text = read_text(path)
     try:
         if Path(path).suffix.lower() == ".csv":
-            table = parse_csv_table(text)
-        else:
-            table = parse_html_table(text)
+            return parse_csv_table(text)
+        return normalize_rectangular(parse_html_table(text))
     except (csv.Error, HtmlParseFailure) as exc:
         raise UnreadableFile(str(path), f"cannot parse table: {exc}") from exc
-    return normalize_rectangular(table)
 
 
 def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
@@ -111,7 +109,8 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
 
     ``html``/``csv`` load gold tables and synthesize the input by
     flattening them; ``paired-text`` loads (<id>.txt, <id>.html) pairs
-    as-is. Tasks come back sorted by id.
+    as-is. Tasks come back sorted by id; two files that give one id (such
+    as ``t1.html`` and ``t1.htm``) are ``UnreadableFile``.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -145,17 +144,47 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
     if not tasks:
         raise NoTasksFound(f"no {fmt} tasks under {directory}")
     tasks.sort(key=lambda task: task.id)
+    for first, second in zip(tasks, tasks[1:]):
+        if first.id == second.id:
+            raise UnreadableFile(second.provenance, f"gives task id {second.id!r}, as {first.provenance} does")
     return tasks
 
 
-def _run_task(task: Task, cfg: PipelineConfig) -> TaskOutcome:
-    result = run_ten(task.source, cfg)
-    # the checker already scored the final table against the source
-    metrics = replace(
-        evaluate(result.final, task.gold),
-        coverage=result.report.coverage,
-        hallucination=result.report.hallucination_rate,
-    )
+class _DeadlineBackend:
+    """A backend that refuses every call made after its task's deadline."""
+
+    def __init__(self, backend: Backend, deadline: float):
+        self.backend = backend
+        self.deadline = deadline
+
+    def complete(self, prompt: str) -> str:
+        if time.monotonic() > self.deadline:
+            raise TaskTimeout("the task's deadline passed before a backend call")
+        return self.backend.complete(prompt)
+
+
+def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> TaskOutcome:
+    """Run and score one task; any failure becomes the task's outcome. The
+    ``timeout`` counts from here, when a worker starts the task."""
+    try:
+        if timeout is not None:
+            deadline = time.monotonic() + timeout
+            cfg = replace(
+                cfg,
+                generator=_DeadlineBackend(cfg.generator, deadline),
+                critic=_DeadlineBackend(cfg.critic, deadline),
+            )
+        result = run_ten(task.source, cfg)
+        # the checker already scored the final table against the source
+        metrics = replace(
+            evaluate(result.final, task.gold),
+            coverage=result.report.coverage,
+            hallucination=result.report.hallucination_rate,
+        )
+    except TaskTimeout:
+        return TaskOutcome(task.id, None, 0, False, error="timeout")
+    except Exception as exc:
+        return TaskOutcome(task.id, None, 0, False, error=f"{type(exc).__name__}: {exc}")
     return TaskOutcome(
         task_id=task.id,
         metrics=metrics,
@@ -179,29 +208,20 @@ def run_bench(
 
     Per-task failures (transport errors, replay misses, timeouts) are
     recorded on the task and never abort the batch; they score EM 0 and are
-    excluded from the other metric means.
+    excluded from the other metric means. ``per_task_timeout`` counts from
+    when a worker starts the task; a backend call made after it fails the
+    task, while a call already in progress runs to its end.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
-    outcomes: dict[str, TaskOutcome] = {}
     started = time.perf_counter()
+    by_id = sorted(tasks, key=lambda t: t.id)
     with ThreadPoolExecutor(max_workers=parallelism) as executor:
-        futures = {task.id: executor.submit(_run_task, task, cfg) for task in tasks}
-        for task in tasks:
-            try:
-                outcomes[task.id] = futures[task.id].result(timeout=per_task_timeout)
-            except FutureTimeout:
-                futures[task.id].cancel()
-                outcomes[task.id] = TaskOutcome(task.id, None, 0, False, error="timeout")
-            except Exception as exc:
-                outcomes[task.id] = TaskOutcome(
-                    task.id, None, 0, False, error=f"{type(exc).__name__}: {exc}"
-                )
+        ordered = list(executor.map(lambda task: _run_task(task, cfg, per_task_timeout), by_id))
     elapsed = time.perf_counter() - started
     print(f"bench: {len(tasks)} tasks in {elapsed:.2f}s", file=sys.stderr)
 
-    ordered = [outcomes[task.id] for task in sorted(tasks, key=lambda t: t.id)]
     scored = [o.metrics for o in ordered if o.metrics is not None]
     aggregates = {
         "tasks": len(ordered),

@@ -10,6 +10,7 @@ coverage; all functions here are pure and safe for concurrent use.
 from __future__ import annotations
 
 import json
+import math
 import re
 import string
 from collections import Counter
@@ -118,6 +119,11 @@ class ConvergenceThresholds:
     max_badness: float = 0.30
     min_goodness: float = 0.50
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+                raise TypeError(f"{name} must be a number, not {value!r}")
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -171,7 +177,8 @@ def detect_entity_type(
 ) -> EntityType | None:
     """Pick the entity type matched by >= ``threshold`` of the non-empty
     cells; ``patterns`` order doubles as the tie-break priority."""
-    patterns = patterns or default_entity_patterns()
+    if patterns is None:
+        patterns = default_entity_patterns()
     values = [v for v in column if v.strip()]
     if not values:
         return None
@@ -227,7 +234,8 @@ def detect_merged_cells(
     two or more numeric tokens (e.g. "102, 205"), or a numeric token mixed
     with words inside a column that reads as numbers (e.g. "Revenue 750").
     ``entities`` holds each body column's ``detect_entity_type`` result."""
-    patterns = patterns or default_entity_patterns()
+    if patterns is None:
+        patterns = default_entity_patterns()
     number = next((e for e in patterns if e.kind == "number"), None)
     violations = []
     for r, row in enumerate(table.body_rows):
@@ -384,7 +392,8 @@ def run_sanity_check(
     are structural padding) unless they sit in a flagged empty row. The
     consistent and violating cell sets are disjoint by construction.
     """
-    patterns = patterns or default_entity_patterns()
+    if patterns is None:
+        patterns = default_entity_patterns()
     body = table.body_rows
     columns = table.body_columns()
     entities = [detect_entity_type(texts, patterns, threshold) for texts in columns]

@@ -145,7 +145,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise UsageError(f"--parallel must be at least 1, not {args.parallel}")
-    # a wait longer than threading.TIMEOUT_MAX raises OverflowError
+    # threading.TIMEOUT_MAX (about 9.2e9 s) is the documented upper bound
     if args.timeout is not None and not 0 < args.timeout <= threading.TIMEOUT_MAX:
         raise UsageError(
             f"--timeout must be a positive number of seconds up to {threading.TIMEOUT_MAX:g}, not {args.timeout:g}"
@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--format", choices=benchmod.DATASET_FORMATS, required=True)
     p_bench.add_argument("--report", required=True, help="write the report JSON here")
     p_bench.add_argument("--parallel", type=int, default=1)
-    p_bench.add_argument("--timeout", type=float, default=None, help="per-task timeout in seconds")
+    p_bench.add_argument(
+        "--timeout", type=float, default=None, help="per-task timeout in seconds, from the task's start"
+    )
     p_bench.add_argument("--outputs", help="directory for per-task traces and tables")
     p_bench.add_argument("--prompt", choices=sorted(_PROMPT_ALIASES), default=None)
     _add_backend_flags(p_bench)

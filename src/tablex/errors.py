@@ -71,6 +71,10 @@ class StoreWriteFailure(TablexError):
     """A transcript could not be persisted."""
 
 
+class TaskTimeout(TablexError):
+    """A task's deadline passed before one of its backend calls."""
+
+
 class NoCandidateProduced(TablexError):
     """Every pipeline iteration failed to parse a table candidate."""
 

@@ -82,6 +82,10 @@ class BackendConfig:
     api_key_env: str = "TEN_API_KEY"
 
     def __post_init__(self) -> None:
+        for name in ("retries", "max_output_tokens"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.timeout <= 0:

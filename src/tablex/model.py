@@ -157,7 +157,6 @@ def normalize_rectangular(table: Table) -> Table:
 # HTML table dialect
 # ---------------------------------------------------------------------------
 
-_STRUCTURAL_TAGS = {"table", "thead", "tbody", "tr", "th", "td"}
 _SPAN_LIMITS = {"rowspan": 65534, "colspan": 1000}  # HTML's maxima
 
 
@@ -175,15 +174,12 @@ class _TableHtmlParser(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.header_specs: list[list[tuple[str, int, int]]] = []
         self.body_specs: list[list[tuple[str, int, int]]] = []
-        self.saw_table = False
-        self._done = False
-        self._in_table = False
-        self._section: str | None = None  # "thead" | "tbody" | None
+        self.stage = "before"  # of the first <table>: "before" | "inside" | "done"
+        self._sections: list[str] = []  # <thead>/<tbody> not yet closed by their own end tag
+        self._section: str | None = None  # "thead" | "tbody" | None; each change flushes the row
         self._row: list[tuple[str, int, int]] | None = None
-        self._row_is_header = False
         self._cell: list[str] | None = None
-        self._cell_span = (1, 1)
-        self._open: list[str] = []
+        self._cell_start = ("td", 1, 1)  # the open cell's (tag, rowspan, colspan)
 
     # -- helpers -----------------------------------------------------------
 
@@ -204,82 +200,64 @@ class _TableHtmlParser(HTMLParser):
         return 1
 
     def _flush_cell(self) -> None:
-        if self._cell is not None and self._row is not None:
-            rowspan, colspan = self._cell_span
+        if self._cell is not None:
+            _, rowspan, colspan = self._cell_start
             self._row.append(("".join(self._cell), rowspan, colspan))
-        self._cell = None
-        if self._open and self._open[-1] in ("td", "th"):
-            self._open.pop()
+            self._cell = None
 
     def _flush_row(self) -> None:
         self._flush_cell()
         if self._row is not None:
-            if self._row_is_header:
-                self.header_specs.append(self._row)
-            else:
-                self.body_specs.append(self._row)
-        self._row = None
-        if self._open and self._open[-1] == "tr":
-            self._open.pop()
+            (self.header_specs if self._section == "thead" else self.body_specs).append(self._row)
+            self._row = None
 
     # -- parser events -----------------------------------------------------
 
     def handle_starttag(self, tag, attrs):
-        if self._done or tag not in _STRUCTURAL_TAGS:
-            return
-        if tag == "table":
-            if self._in_table:
-                return  # nested tables are not part of the dialect; ignore
-            self._in_table = True
-            self.saw_table = True
-            self._open.append(tag)
-            return
-        if not self._in_table:
-            return
-        if tag in ("thead", "tbody"):
+        if tag == "table" and self.stage == "before":
+            self.stage = "inside"
+        elif self.stage != "inside" or tag == "table":
+            return  # nested tables are not part of the dialect; ignore
+        elif tag in ("thead", "tbody"):
             self._flush_row()
             self._section = tag
-            self._open.append(tag)
+            self._sections.append(tag)
         elif tag == "tr":
             self._flush_row()
             self._row = []
-            self._row_is_header = self._section == "thead"
-            self._open.append(tag)
         elif tag in ("th", "td"):
             self._flush_cell()
             if self._row is None:
                 self._row = []
-                self._row_is_header = self._section == "thead"
-                self._open.append("tr")
             self._cell = []
-            self._cell_span = (self._span(attrs, "rowspan"), self._span(attrs, "colspan"))
-            self._open.append(tag)
+            self._cell_start = (tag, self._span(attrs, "rowspan"), self._span(attrs, "colspan"))
 
     def handle_endtag(self, tag):
-        if self._done or not self._in_table or tag not in _STRUCTURAL_TAGS:
+        if self.stage != "inside":
             return
         if tag in ("th", "td"):
             self._flush_cell()
-        elif tag == "tr":
+        elif tag in ("tr", "thead", "tbody", "table"):
             self._flush_row()
-        elif tag in ("thead", "tbody"):
-            self._flush_row()
-            if self._open and self._open[-1] == tag:
-                self._open.pop()
-            self._section = None
-        elif tag == "table":
-            self._flush_row()
-            if self._open and self._open[-1] == "table":
-                self._open.pop()
-            self._in_table = False
-            self._done = True
+            if tag == "table":
+                self.stage = "done"
+            elif tag != "tr":
+                if self._sections and self._sections[-1] == tag:
+                    self._sections.pop()
+                self._section = None
 
     def handle_data(self, data):
         if self._cell is not None:
             self._cell.append(data)
 
     def unbalanced(self) -> list[str]:
-        return list(self._open)
+        # </table> closes the table only when no section is left open
+        tags = ["table", *self._sections] if self.stage == "inside" or self._sections else []
+        if self._row is not None:
+            tags.append("tr")
+        if self._cell is not None:
+            tags.append(self._cell_start[0])
+        return tags
 
 
 def _parse_specs(html: str) -> tuple[_Specs, _Specs]:
@@ -292,7 +270,7 @@ def _parse_specs(html: str) -> tuple[_Specs, _Specs]:
         raise
     except Exception as exc:  # pragma: no cover - html.parser rarely raises
         raise HtmlParseFailure(f"html parser error: {exc}") from exc
-    if not parser.saw_table:
+    if parser.stage == "before":
         raise HtmlParseFailure("no <table> element found")
     if parser.unbalanced():
         raise HtmlParseFailure("unclosed structural tags: " + ", ".join(parser.unbalanced()))
@@ -365,28 +343,20 @@ def _locate_json_object(text: str) -> dict:
     """Find the first balanced JSON object in ``text``.
 
     Tries fenced code blocks first (the instructed response format), then the
-    raw text, then the object starting at the first brace. A truncated outer
-    object is malformed even if some nested object would parse.
+    raw text, each decoded from its first brace; the first that decodes to an
+    object wins. A truncated outer object is malformed even if some nested
+    object would parse.
     """
     candidates = [match.group(1) for match in _FENCE_RE.finditer(text)]
     candidates.append(text)
     decoder = json.JSONDecoder()
     for candidate in candidates:
-        stripped = candidate.strip()
-        if not stripped:
-            continue
-        try:
-            obj = json.loads(stripped)
-            if isinstance(obj, dict):
-                return obj
-        except (ValueError, RecursionError):  # bad JSON, an over-long integer or too deep a nesting
-            pass
         pos = candidate.find("{")
         if pos < 0:
             continue
         try:
             obj, _ = decoder.raw_decode(candidate, pos)
-        except (ValueError, RecursionError):
+        except (ValueError, RecursionError):  # bad JSON, an over-long integer or too deep a nesting
             continue
         if isinstance(obj, dict):
             return obj

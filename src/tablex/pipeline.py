@@ -37,6 +37,10 @@ class PipelineConfig:
     keep_last_iteration: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("max_iterations", "parse_retry_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.parse_retry_limit < 0:

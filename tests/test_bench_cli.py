@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -109,6 +110,19 @@ def test_ingest_unparseable_gold_named(tmp_path):
     assert "bad.html" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "fmt, names", [("html", ["t1.html", "t1.htm"]), ("csv", ["t1.csv", "t1.CSV"])], ids=["html", "csv"]
+)
+def test_ingest_refuses_two_files_with_one_task_id(tmp_path, fmt, names):
+    gold = simple_gold("apple", "berry")
+    for name in names:
+        (tmp_path / name).write_text(serialize_html(gold) if fmt == "html" else serialize_csv(gold))
+    first, second = sorted(str(tmp_path / name) for name in names)
+    with pytest.raises(UnreadableFile) as err:
+        ingest_dataset(tmp_path, fmt)
+    assert str(err.value) == f"{second}: gives task id 't1', as {first} does"
+
+
 # ---------------------------------------------------------------------------
 # run_bench
 # ---------------------------------------------------------------------------
@@ -204,6 +218,28 @@ def test_bench_byte_identical_across_parallelism(tmp_path):
     serial = run_bench(tasks, replay_config(cache_dir), parallelism=1).to_json()
     threaded = run_bench(tasks, replay_config(cache_dir), parallelism=4).to_json()
     assert serial == threaded
+
+
+def test_bench_timeout_counts_from_task_start(tmp_path):
+    """With one worker, a task stuck in a slow backend call times out alone:
+    each queued task gets its own deadline when it starts, and succeeds."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    tasks = ingest_dataset(data_dir, "csv")[:3]
+    replay = replay_config(cache_dir).generator
+
+    class SlowFirstTask:
+        def complete(self, prompt: str) -> str:
+            if tasks[0].source.raw in prompt:
+                time.sleep(1.5)
+                return "not json"  # the retry comes after the deadline
+            return replay.complete(prompt)
+
+    backend = SlowFirstTask()
+    started = time.perf_counter()
+    report = run_bench(tasks, PipelineConfig(generator=backend, critic=backend), per_task_timeout=0.5)
+    assert time.perf_counter() - started < 2.0
+    assert [o.error for o in report.per_task] == ["timeout", None, None]
+    assert [o.converged for o in report.per_task] == [False, True, True]
 
 
 def test_write_task_outputs(tmp_path):
@@ -442,6 +478,46 @@ def test_cli_bench_bad_parallel_or_timeout_is_usage_error(tmp_path, capsys, flag
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("pipeline", "max_iterations", 2.5),
+        ("pipeline", "max_iterations", True),
+        ("pipeline", "parse_retry_limit", 1.0),
+        ("pipeline", "parse_retry_limit", False),
+        ("thresholds", "min_coverage", "0.9"),
+        ("thresholds", "max_badness", True),
+        ("thresholds", "min_goodness", None),
+        ("thresholds", "max_hallucination", float("nan")),
+        ("generator", "retries", 1.5),
+        ("generator", "retries", True),
+        ("generator", "max_output_tokens", "4096"),
+        ("critic", "max_output_tokens", 4096.0),
+    ],
+)
+def test_cli_bench_mistyped_config_is_usage_error(tmp_path, capsys, section, key, value):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({section: {key: value}}))
+    argv = ["bench", str(data_dir), "--format", "csv", "--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    assert cli(argv + ["--report", str(tmp_path / "r.json"), "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {config_path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_bench_duplicate_task_id_is_task_failure(tmp_path, capsys):
+    gold = simple_gold("apple", "berry")
+    for name in ("t1.html", "t1.htm"):
+        (tmp_path / name).write_text(serialize_html(gold))
+    report = tmp_path / "report.json"
+    assert cli(["bench", str(tmp_path), "--format", "html", "--replay", "--cache-dir", str(tmp_path / "c"),
+                "--report", str(report)]) == 1  # fmt: skip
+    err = capsys.readouterr().err
+    assert err.startswith("tablex: ") and "gives task id 't1'" in err and err.count("\n") == 1
+    assert not report.exists()
+
+
 def test_cli_missing_file_exit_one(tmp_path, capsys):
     assert cli(["eval", str(tmp_path / "nope.html"), str(tmp_path / "nope.html")]) == 1
     assert cli(["bench", str(tmp_path / "void"), "--format", "csv", "--report", "r.json"]) == 1
@@ -496,6 +572,19 @@ def test_cli_check_custom_patterns(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert any(v["rule"] == "Inconsistent Column" for v in payload["violations"])
+
+
+def test_cli_check_empty_patterns_type_no_column(tmp_path, capsys):
+    """An explicit empty pattern set stays empty: no column reads as a
+    number, so the checker falls back to signature analysis."""
+    table = Table.from_rows(body=[["1"], ["2"], ["3"], ["4"], ["x"]])
+    (tmp_path / "t.html").write_text(serialize_html(table))
+    (tmp_path / "src.txt").write_text(flatten_table(table, FlattenStyle.OCR).raw)
+    (tmp_path / "patterns.json").write_text("[]")
+    argv = ["check", str(tmp_path / "t.html"), "--source", str(tmp_path / "src.txt")]
+    assert cli(argv + ["--patterns", str(tmp_path / "patterns.json")]) == 0
+    details = [v["detail"] for v in json.loads(capsys.readouterr().out)["violations"]]
+    assert details == ["column 0 signature outliers row 4: 'x'"]
 
 
 @pytest.mark.parametrize(
