@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -86,6 +87,10 @@ class BackendConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, not {value!r}")
+        for name in ("timeout", "temperature"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+                raise TypeError(f"{name} must be a number, not {value!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.timeout <= 0:

@@ -158,6 +158,12 @@ def normalize_rectangular(table: Table) -> Table:
 # ---------------------------------------------------------------------------
 
 _SPAN_LIMITS = {"rowspan": 65534, "colspan": 1000}  # HTML's maxima
+# A text run, a start tag or an end tag of the plain dialect; a bare ``<`` opens anything else.
+_STRUCTURAL = "table|thead|tbody|tr|th|td"
+_DIALECT_TOKEN = re.compile(
+    rf'([^<]+)|<({_STRUCTURAL})((?: [a-z]+="[^"&<>]*")*)>|</({_STRUCTURAL})>|<', re.ASCII | re.IGNORECASE
+)
+_DIALECT_ATTR = re.compile(r' ([a-z]+)="([^"]*)"', re.ASCII | re.IGNORECASE)
 
 
 class _TableHtmlParser(HTMLParser):
@@ -168,6 +174,13 @@ class _TableHtmlParser(HTMLParser):
     nested inside cells is ignored. <td> and <tr> are implicitly closed the
     way browsers close them, but <table>/<thead>/<tbody> left open at end of
     input are reported as parse failures.
+
+    ``feed_dialect`` tokenizes the plain dialect that ``serialize_html``
+    writes with one regex: text runs, and tags of the six structural names
+    in any ASCII case whose attributes are ASCII-letter names, each after
+    one space, with double-quoted values free of ``"&<>``. It stops at any
+    other markup, and the input then goes whole to a fresh parser's
+    ``feed``. Both call the handlers below with the same events.
     """
 
     def __init__(self) -> None:
@@ -210,6 +223,21 @@ class _TableHtmlParser(HTMLParser):
         if self._row is not None:
             (self.header_specs if self._section == "thead" else self.body_specs).append(self._row)
             self._row = None
+
+    def feed_dialect(self, html: str) -> bool:
+        """Feed all of ``html`` if it is in the plain dialect, and return
+        True; return False at the first ``<`` that opens anything else,
+        leaving this parser part-fed."""
+        for text, start, attrs, end in map(re.Match.groups, _DIALECT_TOKEN.finditer(html)):
+            if text is not None:
+                self.handle_data(htmllib.unescape(text))  # as HTMLParser's convert_charrefs does
+            elif start is not None:
+                self.handle_starttag(start.lower(), [(k.lower(), v) for k, v in _DIALECT_ATTR.findall(attrs)])
+            elif end is not None:
+                self.handle_endtag(end.lower())
+            else:
+                return False
+        return True
 
     # -- parser events -----------------------------------------------------
 
@@ -261,11 +289,17 @@ class _TableHtmlParser(HTMLParser):
 
 
 def _parse_specs(html: str) -> tuple[_Specs, _Specs]:
-    """The ``(text, rowspan, colspan)`` header and body rows of ``html``'s first <table>."""
+    """The ``(text, rowspan, colspan)`` header and body rows of ``html``'s first <table>.
+
+    Input with markup outside the plain dialect (a comment, another tag, an
+    unquoted attribute, a stray or truncated ``<``) is parsed again from the
+    start by ``HTMLParser``; both give the same rows or the same error."""
     parser = _TableHtmlParser()
     try:
-        parser.feed(html)
-        parser.close()
+        if not parser.feed_dialect(html):
+            parser = _TableHtmlParser()
+            parser.feed(html)
+            parser.close()
     except HtmlParseFailure:
         raise
     except Exception as exc:  # pragma: no cover - html.parser rarely raises

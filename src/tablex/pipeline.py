@@ -41,6 +41,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.keep_last_iteration, bool):
+            raise TypeError(f"keep_last_iteration must be a bool, not {self.keep_last_iteration!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.parse_retry_limit < 0:

@@ -493,6 +493,9 @@ def test_cli_bench_bad_parallel_or_timeout_is_usage_error(tmp_path, capsys, flag
         ("generator", "retries", True),
         ("generator", "max_output_tokens", "4096"),
         ("critic", "max_output_tokens", 4096.0),
+        ("generator", "timeout", True),
+        ("critic", "temperature", float("nan")),
+        ("pipeline", "keep_last_iteration", "no"),
     ],
 )
 def test_cli_bench_mistyped_config_is_usage_error(tmp_path, capsys, section, key, value):

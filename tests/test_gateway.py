@@ -381,6 +381,14 @@ def test_backend_config_validation():
         BackendConfig(timeout=0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("timeout", True), ("timeout", float("nan")), ("temperature", float("nan")), ("temperature", "0")]
+)
+def test_backend_config_rejects_non_real_numbers(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be a number"):
+        BackendConfig(**{field: value})
+
+
 def test_store_concurrent_writers(tmp_path):
     store = TranscriptStore(tmp_path)
     exchanges = [(f"p{i}", f"r{i}") for i in range(20)]

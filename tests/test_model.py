@@ -16,6 +16,7 @@ from tablex.model import (
     PartialTable,
     SourceText,
     Table,
+    _parse_specs,
     concat_partial_tables,
     flatten_table,
     normalize_rectangular,
@@ -25,6 +26,8 @@ from tablex.model import (
     serialize_csv,
     serialize_html,
 )
+
+import reference_parse
 
 MINIMAL = "<table><thead><tr><th>A</th></tr></thead><tbody><tr><td>1</td></tr></tbody></table>"
 
@@ -509,6 +512,18 @@ def html_tables(draw):
         parts.append(draw(st.sampled_from(["</tr>", "</thead>", "</tbody>", ""])))
     parts.append(draw(st.sampled_from(["</table>", "</tbody></table>", "<table>", ""])))
     return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(html_tables())
+def test_property_parse_specs_matches_reference(text):
+    def outcome(parse):
+        try:
+            return "ok", parse(text)
+        except HtmlParseFailure as exc:
+            return "HtmlParseFailure", str(exc)
+
+    assert outcome(_parse_specs) == outcome(reference_parse._parse_specs)
 
 
 def _nested(draw, inner: str) -> str:

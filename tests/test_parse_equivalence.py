@@ -1,6 +1,7 @@
 """Response parsing in ``tablex.model``, whose HTML parser derives its
-unclosed tags and whose JSON locator decodes each candidate once, against
-the parsing it replaced (``tests/reference_parse.py``).
+unclosed tags, tokenizes the plain table dialect with one regex and whose
+JSON locator decodes each candidate once, against the parsing it replaced
+(``tests/reference_parse.py``, which feeds everything to ``HTMLParser``).
 
 Seeded inputs; each pair of calls must return equal specs or objects, or
 raise the same exception type with the same message.
@@ -11,6 +12,14 @@ raise the same exception type with the same message.
   truncated tags; and near-well-formed tables with spans, nested tables and
   the same noise, with random end tags dropped and random truncation, so
   every shape of the unclosed-tag message appears.
+- The dialect: ``serialize_html`` output of seeded tables with spans and
+  cell texts holding ``&``, ``<``, quotes, CRLF, U+3000 and ``é``, and every
+  HTML table in ``tests/fixtures``, all of which must parse without
+  ``HTMLParser.feed``; then one-edit mutations at the dialect's edge
+  (upper-case names; single-quoted, unquoted and valueless attributes;
+  ``&`` in a value; whitespace and ``/>`` in tags; a stray ``<``, ``<br>``,
+  a comment, ``<script>``; U+212A and U+017F in names; a truncated tag),
+  each of which must take the path it is listed with.
 - JSON: envelopes alone, fenced (with and without a language tag), wrapped
   in prose, after a stray brace, truncated, or as lists; ``NaN`` and
   ``Infinity``, a BOM, U+3000 and other non-JSON whitespace, 5,000-digit
@@ -21,10 +30,15 @@ from __future__ import annotations
 
 import json
 import random
+from html.parser import HTMLParser
+from pathlib import Path
+from unittest import mock
 
-from tablex.model import _locate_json_object, _parse_specs
+from tablex.model import Table, _locate_json_object, _parse_specs, serialize_html
 
 import reference_parse
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 HTML_STRINGS = 10_000  # of each kind
 JSON_STRINGS = 20_000
@@ -133,6 +147,101 @@ def test_html_parse_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# The dialect's regex tokenizer and its fallback to HTMLParser
+# ---------------------------------------------------------------------------
+
+CELL_CHARS = ["a", "Z", "7", " ", ".", "&", "<", ">", '"', "'", "\r\n", "\u3000", "é", "&amp;", ";"]
+
+
+def _seeded_table(rng: random.Random) -> Table:
+    text = lambda: "".join(rng.choice(CELL_CHARS) for _ in range(rng.randint(0, 6)))
+    spec = lambda: (text(), rng.choice([1, 1, 1, 2, 3]), rng.choice([1, 1, 1, 2]))
+    width = rng.randint(1, 5)
+    header = [[spec() for _ in range(rng.randint(1, width))] for _ in range(rng.randint(0, 2))]
+    body = [[spec() for _ in range(rng.randint(1, width))] for _ in range(rng.randint(0, 6))]
+    return Table.from_rows(body=body, header=header)
+
+
+def _dialect_tables() -> list[str]:
+    rng = random.Random(20261020)
+    tables = [serialize_html(_seeded_table(rng)) for _ in range(300)]
+    tables.append((FIXTURES / "balance_sheet_gold.html").read_text(encoding="utf-8"))
+    listing = json.loads((FIXTURES / "listing3.json").read_text(encoding="utf-8"))
+    tables += [entry["html_output"] for entry in listing["tables"]]
+    corpus = json.loads((FIXTURES / "corrupted_corpus.json").read_text(encoding="utf-8"))["fixtures"]
+    tables += [serialize_html(Table.from_rows(body=f["rows"], header=f["header"])) for f in corpus]
+    return tables
+
+
+def test_dialect_tables_parse_without_html_parser():
+    tables = _dialect_tables()
+    expected = [_outcome(reference_parse._parse_specs, text) for text in tables]
+    assert any("rowspan" in t for t in tables) and any("&#x27;" in t and "\r\n" in t for t in tables)
+    with mock.patch.object(HTMLParser, "feed", side_effect=AssertionError("HTMLParser.feed called")):
+        mismatches = [text for text, want in zip(tables, expected) if _outcome(_parse_specs, text) != want]
+    assert mismatches[:3] == []
+
+
+BASE = '<table><thead><tr><th rowspan="2">A</th><th>B &amp; C</th></tr></thead><tbody><tr><td>1</td></tr></tbody></table>'
+DIALECT, FALLBACK = "dialect", "html.parser"
+MUTATIONS = [  # (edit of BASE, the path that must parse it)
+    (("<table>", "<TABLE>"), DIALECT),
+    (("</td>", "</Td>"), DIALECT),
+    (('rowspan="2"', 'ROWSPAN="2"'), DIALECT),
+    (('rowspan="2"', 'rowspan="2" colspan="1001"'), DIALECT),  # fails in the dialect's handler
+    (('rowspan="2"', 'rowspan="x y"'), DIALECT),
+    (("<th>B", '<th class="">B'), DIALECT),
+    (("</tr></thead>", "</thead>"), DIALECT),
+    (("</table>", ""), DIALECT),
+    (('rowspan="2"', "rowspan='2'"), FALLBACK),
+    (('rowspan="2"', "rowspan=2"), FALLBACK),
+    (('rowspan="2"', "rowspan"), FALLBACK),
+    (('rowspan="2"', 'rowspan="2&#48;"'), FALLBACK),
+    (('rowspan="2"', 'rowspan="2" title="a&amp;b"'), FALLBACK),
+    (('rowspan="2"', ' rowspan="2"'), FALLBACK),
+    (('rowspan="2"', 'rowspan = "2"'), FALLBACK),
+    (("<th>B", "<th\n>B"), FALLBACK),
+    (("<th>B", "<th >B"), FALLBACK),
+    (("</td>", "</td >"), FALLBACK),
+    (("</td>", "</td\n>"), FALLBACK),
+    (("<td>1</td>", "<td/>"), FALLBACK),
+    (("<td>1</td>", "<td>1</td/>"), FALLBACK),
+    (("1", "1 < 2"), FALLBACK),
+    (("1", "1<"), FALLBACK),
+    (("1", "1<br>2"), FALLBACK),
+    (("1", "1<!-- </table> -->"), FALLBACK),
+    (("1", "<script></td></table></script>"), FALLBACK),
+    (("<tbody>", "<!DOCTYPE html><tbody>"), FALLBACK),
+    (("<tbody>", "<tfoot>"), FALLBACK),
+    (('rowspan="2"', 'row\u017fpan="2"'), FALLBACK),
+    (('rowspan="2"', '\u212a="2"'), FALLBACK),
+    (("</table>", "</table"), FALLBACK),
+    (("</table>", "</tab"), FALLBACK),
+    (("</table>", "<"), FALLBACK),
+]
+
+
+def test_dialect_boundary_mutations_match_reference():
+    real_feed, fed = HTMLParser.feed, []
+
+    def feed(self, data):
+        fed.append(data)
+        return real_feed(self, data)
+
+    kinds = set()
+    for (old, new), path in MUTATIONS:
+        text = BASE.replace(old, new, 1)
+        expected = _outcome(reference_parse._parse_specs, text)
+        fed.clear()
+        with mock.patch.object(HTMLParser, "feed", feed):
+            got = _outcome(_parse_specs, text)
+        assert (got, FALLBACK if fed else DIALECT) == (expected, path), text
+        kinds.add(expected[0])
+    assert {path for _, path in MUTATIONS} == {DIALECT, FALLBACK}
+    assert kinds == {"ok", "HtmlParseFailure"}
+
+
+# ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
 
@@ -193,3 +302,13 @@ def test_json_locate_matches_reference():
         kinds.add(expected[0])
     assert mismatches[:5] == []
     assert kinds == {"ok", "MalformedJson"}
+
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_parse_equivalence.py
+    import sys
+
+    tests = [(name, test) for name, test in sorted(globals().items()) if name.startswith("test_")]
+    for name, test in tests:
+        test()
+        print(f"{name} passed")
+    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")

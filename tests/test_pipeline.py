@@ -304,6 +304,13 @@ def test_pipeline_config_validation():
         PipelineConfig(generator=backend, critic=backend, generation_prompt=PromptKind.CRITIQUE)
 
 
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_pipeline_config_keep_last_iteration_must_be_bool(value):
+    backend = ScriptedBackend([])
+    with pytest.raises(TypeError, match="keep_last_iteration must be a bool"):
+        PipelineConfig(generator=backend, critic=backend, keep_last_iteration=value)
+
+
 def test_trace_serialization_shape():
     table = Table.from_rows(header=[["A", "B"]], body=[["alpha", "1"], ["beta", "2"]])
     source = flatten_table(table, FlattenStyle.OCR)
