@@ -1,10 +1,14 @@
 """Symbolic validation of a candidate table against its source text.
 
-Six rule families (empty rows, entity consistency, signature analysis,
-merged cells, delimiter errors, bracket matching) plus four scores:
-coverage, hallucination rate, goodness and badness. Header rows are exempt
-from the rules (headers legitimately mix formats) but participate in
-coverage; all functions here are pure and safe for concurrent use.
+Six rule families in two passes over the table body, plus four scores:
+coverage, hallucination rate, goodness and badness. The column pass
+(``check_column``) types each column by entity pattern and judges its
+cells from the same matches: entity consistency, or signature analysis
+when no pattern fits. The row pass in ``run_sanity_check`` applies the
+empty-row, merged-cell, bracket and split-number (delimiter) rules. Header
+rows are exempt from the rules (headers legitimately mix formats) but
+participate in coverage; all functions here are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -31,6 +35,8 @@ _DANGLING_RE = re.compile(r"\d[,.]$")
 
 
 class Rule(Enum):
+    """The rule families, in the order a report lists their violations."""
+
     EMPTY_ROW = "Empty Row"
     INCONSISTENT_COLUMN = "Inconsistent Column"
     MERGED_CELL = "Merged Cell"
@@ -45,13 +51,12 @@ class EntityType:
     kind: str
     pattern: str
 
+    @cached_property
+    def regex(self) -> re.Pattern:
+        return re.compile(self.pattern)
+
     def matches(self, text: str) -> bool:
-        return _compiled(self.pattern).fullmatch(text.strip()) is not None
-
-
-@lru_cache(maxsize=None)
-def _compiled(pattern: str) -> re.Pattern:
-    return re.compile(pattern)
+        return self.regex.fullmatch(text.strip()) is not None
 
 
 @lru_cache(maxsize=1)
@@ -68,7 +73,10 @@ def load_entity_patterns(path: str | Path) -> tuple[EntityType, ...]:
 
 def _patterns_from_json(data: str) -> tuple[EntityType, ...]:
     try:
-        return tuple(EntityType(e["kind"], _compiled(e["pattern"]).pattern) for e in json.loads(data))
+        patterns = tuple(EntityType(e["kind"], e["pattern"]) for e in json.loads(data))
+        for entity in patterns:
+            entity.regex  # compile now, so a pattern that does not compile fails the load
+        return patterns
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a list of kind/pattern objects: {exc!r}") from exc
     except re.error as exc:
@@ -150,141 +158,62 @@ class ValidationReport:
             "max_column_badness": self.max_column_badness,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
-# Rule families
+# Rules: one pass per column, one pass over the body rows
 # ---------------------------------------------------------------------------
-
-
-def detect_empty_rows(table: Table) -> list[Violation]:
-    """Flag body rows whose every cell is empty or whitespace."""
-    violations = []
-    for r, row in enumerate(table.body_rows):
-        if row and all(cell.text.strip() == "" for cell in row):
-            violations.append(
-                Violation(Rule.EMPTY_ROW, row=r, col=None, detail=f"body row {r} is blank")
-            )
-    return violations
-
-
-def detect_entity_type(
-    column: Sequence[str],
-    patterns: Sequence[EntityType] | None = None,
-    threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
-) -> EntityType | None:
-    """Pick the entity type matched by >= ``threshold`` of the non-empty
-    cells; ``patterns`` order doubles as the tie-break priority."""
-    if patterns is None:
-        patterns = default_entity_patterns()
-    values = [v for v in column if v.strip()]
-    if not values:
-        return None
-    for entity in patterns:
-        hits = sum(1 for v in values if entity.matches(v))
-        if hits / len(values) >= threshold:
-            return entity
-    return None
 
 
 def check_column(
     texts: Sequence[str],
     col: int,
-    entity: EntityType | None,
+    patterns: Sequence[EntityType] | None = None,
     threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
-) -> tuple[list[Violation], set[tuple[int, int]], set[tuple[int, int]]]:
-    """Entity and signature consistency of one body column.
+) -> tuple[EntityType | None, list[Violation], set[tuple[int, int]], set[tuple[int, int]]]:
+    """Type one body column and judge its cells from the same matches.
 
-    A typed column flags the non-empty cells its entity type does not
-    match. An untyped column flags the non-empty cells off the signature
-    that at least ``threshold`` of them share, and flags nothing when no
-    signature is that common. Returns the violations and the consistent
-    and violating (row, col) positions.
+    The column's entity type is the first of ``patterns`` (their order is
+    the tie-break priority) that matches at least ``threshold`` of the
+    non-empty cells; it flags the non-empty cells it does not match. An
+    untyped column flags the non-empty cells off the signature that at
+    least ``threshold`` of them share, and judges nothing when no signature
+    is that common. Returns the entity type, the violations and the
+    consistent and violating (row, col) positions.
     """
+    if patterns is None:
+        patterns = default_entity_patterns()
     present = [(r, text) for r, text in enumerate(texts) if text.strip()]
-    if entity is not None:
+    if not present:
+        return None, [], set(), set()
+    for entity in patterns:
         fits = [entity.matches(text) for _, text in present]
-        claim = f"reads as {entity.kind} but mismatches"
+        if sum(fits) / len(present) >= threshold:
+            claim = f"reads as {entity.kind} but mismatches"
+            break
     else:
+        entity = None
         signatures = [Signature.of_text(text) for _, text in present]
-        common = Counter(signatures).most_common(1)
-        if not common or common[0][1] / len(present) < threshold:
-            return [], set(), set()
-        fits = [sig == common[0][0] for sig in signatures]
+        common, count = Counter(signatures).most_common(1)[0]
+        if count / len(present) < threshold:
+            return None, [], set(), set()
+        fits = [sig == common for sig in signatures]
         claim = "signature outliers"
     consistent = {(r, col) for (r, _), fit in zip(present, fits) if fit}
     outliers = [(r, text) for (r, text), fit in zip(present, fits) if not fit]
     if not outliers:
-        return [], consistent, set()
+        return entity, [], consistent, set()
     where = "; ".join(f"row {r}: {text!r}" for r, text in outliers)
     violation = Violation(
         Rule.INCONSISTENT_COLUMN, row=None, col=col, detail=f"column {col} {claim} {where}"
     )
-    return [violation], consistent, {(r, col) for r, _ in outliers}
-
-
-def detect_merged_cells(
-    table: Table,
-    entities: Sequence[EntityType | None],
-    patterns: Sequence[EntityType] | None = None,
-) -> list[Violation]:
-    """Flag body cells that look like several values collapsed into one:
-    two or more numeric tokens (e.g. "102, 205"), or a numeric token mixed
-    with words inside a column that reads as numbers (e.g. "Revenue 750").
-    ``entities`` holds each body column's ``detect_entity_type`` result."""
-    if patterns is None:
-        patterns = default_entity_patterns()
-    number = next((e for e in patterns if e.kind == "number"), None)
-    violations = []
-    for r, row in enumerate(table.body_rows):
-        for cell in row:
-            cores = [tok.strip(string.punctuation) for tok in cell.text.split()]
-            numeric = sum(1 for core in cores if core and number is not None and number.matches(core))
-            alpha = sum(1 for core in cores if core.isalpha())
-            entity = entities[cell.col]
-            in_number_column = entity is not None and entity.kind == "number"
-            if numeric >= 2 or (numeric == 1 and alpha >= 1 and in_number_column):
-                violations.append(
-                    Violation(
-                        Rule.MERGED_CELL,
-                        row=r,
-                        col=cell.col,
-                        detail=f"cell {cell.text!r} holds {numeric} numeric tokens",
-                    )
-                )
-    return violations
-
-
-def detect_delimiter_errors(table: Table) -> list[Violation]:
-    """Flag adjacent body cells that look like one number split in two:
-    a left cell ending in a dangling separator ("1,"), or a short digit
-    group next to an exactly-three-digit group ("12" | "345")."""
-    violations = []
-    for r, row in enumerate(table.body_rows):
-        for j in range(len(row) - 1):
-            left = row[j].text.strip()
-            right = row[j + 1].text.strip()
-            if not left:
-                continue
-            dangling = _DANGLING_RE.search(left) is not None
-            fragmented = (
-                left.isdigit() and len(left) <= 3 and right.isdigit() and len(right) == 3
-            )
-            if dangling or fragmented:
-                violations.append(
-                    Violation(
-                        Rule.DELIMITER_ERROR,
-                        row=r,
-                        col=row[j].col,
-                        detail=f"cells {left!r} | {right!r} look like a split number",
-                    )
-                )
-    return violations
+    return entity, [violation], consistent, {(r, col) for r, _ in outliers}
 
 
 def _has_unbalanced_brackets(text: str) -> bool:
+    """Whether ``text`` has an unmatched or crossing (), [] or {} pair."""
     stack: list[str] = []
     for ch in text:
         if ch in _OPENERS:
@@ -293,23 +222,6 @@ def _has_unbalanced_brackets(text: str) -> bool:
             if not stack or stack.pop() != _BRACKET_PAIRS[ch]:
                 return True
     return bool(stack)
-
-
-def detect_unbalanced_brackets(table: Table) -> list[Violation]:
-    """Flag body cells with unmatched or crossing (), [], {} pairs."""
-    violations = []
-    for r, row in enumerate(table.body_rows):
-        for cell in row:
-            if _has_unbalanced_brackets(cell.text):
-                violations.append(
-                    Violation(
-                        Rule.UNBALANCED_BRACKETS,
-                        row=r,
-                        col=cell.col,
-                        detail=f"cell {cell.text!r} has unbalanced brackets",
-                    )
-                )
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -384,42 +296,76 @@ def run_sanity_check(
     patterns: Sequence[EntityType] | None = None,
     threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
 ) -> ValidationReport:
-    """Run every rule family and aggregate scores.
+    """Run every rule and aggregate scores in one walk of the body.
 
-    Each body column's entity type is detected once and shared by the
-    column and merged-cell rules. A cell flagged by several rules counts
-    once toward ``violating_cells``; empty cells count as consistent (they
-    are structural padding) unless they sit in a flagged empty row. The
-    consistent and violating cell sets are disjoint by construction.
+    The column pass types each body column and judges its cells
+    (``check_column``). The row pass then applies the empty-row,
+    merged-cell, bracket and split-number rules, stripping each cell once;
+    the merged-cell rule reads which columns the column pass typed as
+    numbers. Violations are reported in ``Rule`` order, each rule's in row
+    order.
+
+    A cell flagged by several rules counts once toward ``violating_cells``;
+    empty cells count as consistent (they are structural padding) unless
+    they sit in a flagged empty row. The consistent and violating cell sets
+    are disjoint by construction.
     """
     if patterns is None:
         patterns = default_entity_patterns()
-    body = table.body_rows
-    columns = table.body_columns()
-    entities = [detect_entity_type(texts, patterns, threshold) for texts in columns]
-
-    violations = detect_empty_rows(table)
-    violating = {(v.row, cell.col) for v in violations for cell in body[v.row]}
-    consistent = {(r, cell.col) for r, row in enumerate(body) for cell in row if not cell.text.strip()}
-    for col, (texts, entity) in enumerate(zip(columns, entities)):
-        found, good, bad = check_column(texts, col, entity, threshold)
-        violations += found
+    number = next((e for e in patterns if e.kind == "number"), None)
+    found: dict[Rule, list[Violation]] = {rule: [] for rule in Rule}
+    number_columns: set[int] = set()
+    consistent: set[tuple[int, int]] = set()
+    violating: set[tuple[int, int]] = set()
+    for col, texts in enumerate(table.body_columns()):
+        entity, flagged, good, bad = check_column(texts, col, patterns, threshold)
+        found[Rule.INCONSISTENT_COLUMN] += flagged
         consistent |= good
         violating |= bad
-    for found in (
-        detect_merged_cells(table, entities, patterns),
-        detect_unbalanced_brackets(table),
-        detect_delimiter_errors(table),
-    ):
-        violations += found
-        violating |= {(v.row, v.col) for v in found}
+        if entity is not None and entity.kind == "number":
+            number_columns.add(col)
+
+    def flag(rule: Rule, r: int, col: int | None, detail: str) -> None:
+        found[rule].append(Violation(rule, row=r, col=col, detail=detail))
+        if col is not None:
+            violating.add((r, col))
+
+    body = table.body_rows
+    for r, row in enumerate(body):
+        stripped = [cell.text.strip() for cell in row]
+        if row and not any(stripped):
+            flag(Rule.EMPTY_ROW, r, None, f"body row {r} is blank")
+            violating |= {(r, cell.col) for cell in row}
+        for j, (cell, text) in enumerate(zip(row, stripped)):
+            if not text:
+                consistent.add((r, cell.col))
+                continue
+            # merged: several numeric tokens ("102, 205"), or a number and
+            # a word in a column that reads as numbers ("Revenue 750")
+            cores = [tok.strip(string.punctuation) for tok in text.split()]
+            numeric = sum(1 for core in cores if core and number is not None and number.matches(core))
+            labelled = cell.col in number_columns and any(core.isalpha() for core in cores)
+            if numeric >= 2 or (numeric == 1 and labelled):
+                flag(Rule.MERGED_CELL, r, cell.col,
+                     f"cell {cell.text!r} holds {numeric} numeric tokens")
+            if _has_unbalanced_brackets(text):
+                flag(Rule.UNBALANCED_BRACKETS, r, cell.col,
+                     f"cell {cell.text!r} has unbalanced brackets")
+            # one number split over this cell and the next: a dangling
+            # separator ("1,") or a short digit group before three digits
+            if j + 1 < len(row):
+                right = stripped[j + 1]
+                fragmented = text.isdigit() and len(text) <= 3 and right.isdigit() and len(right) == 3
+                if fragmented or _DANGLING_RE.search(text) is not None:
+                    flag(Rule.DELIMITER_ERROR, r, cell.col,
+                         f"cells {text!r} | {right!r} look like a split number")
     consistent -= violating
 
     column_sizes = Counter(cell.col for row in body for cell in row)
     column_bad = Counter(col for _, col in violating)
     total = sum(column_sizes.values())
     return ValidationReport(
-        violations=tuple(violations),
+        violations=tuple(v for hits in found.values() for v in hits),
         coverage=compute_coverage(source, table),
         hallucination_rate=compute_hallucination(source, table),
         goodness_score=len(consistent) / total if total else 0.0,

@@ -93,10 +93,12 @@ class BackendConfig:
                 raise TypeError(f"{name} must be a number, not {value!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # a socket timeout above threading.TIMEOUT_MAX (about 9.2e9 s) overflows
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g}, not {self.timeout!r}")
+        # an infinite temperature is not JSON, so no request body could carry it
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, not {self.temperature!r}")
 
     @property
     def params(self) -> dict:
@@ -187,14 +189,17 @@ class Backend(Protocol):
     def complete(self, prompt: str) -> str: ...
 
 
+MAX_IN_FLIGHT = 8
+
+
 class LiveBackend:
     """Chat-completions HTTP backend: JSON POST, bearer auth, retries with
     exponential backoff on transient failures. A semaphore bounds in-flight
-    requests when the backend is shared across workers."""
+    requests to ``MAX_IN_FLIGHT`` when the backend is shared across workers."""
 
-    def __init__(self, config: BackendConfig, max_in_flight: int = 8):
+    def __init__(self, config: BackendConfig):
         self.config = config
-        self._gate = threading.Semaphore(max_in_flight)
+        self._gate = threading.Semaphore(MAX_IN_FLIGHT)
 
     def complete(self, prompt: str) -> str:
         if not prompt:

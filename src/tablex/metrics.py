@@ -199,8 +199,8 @@ class MetricReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def evaluate(pred: Table, gold: Table, source: SourceText | None = None) -> MetricReport:

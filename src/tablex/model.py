@@ -493,8 +493,7 @@ def serialize_csv(table: Table) -> str:
     return flatten_table(table, FlattenStyle.CSV).raw
 
 
-def parse_csv_table(text: str, header_rows: int = 1) -> Table:
+def parse_csv_table(text: str) -> Table:
     """Load a table from RFC-4180 CSV text; the first row becomes the header."""
     rows = [list(row) for row in csv.reader(io.StringIO(text))]
-    header_rows = min(header_rows, len(rows))
-    return Table.from_rows(body=rows[header_rows:], header=rows[:header_rows])
+    return Table.from_rows(body=rows[1:], header=rows[:1])

@@ -496,6 +496,9 @@ def test_cli_bench_bad_parallel_or_timeout_is_usage_error(tmp_path, capsys, flag
         ("generator", "timeout", True),
         ("critic", "temperature", float("nan")),
         ("pipeline", "keep_last_iteration", "no"),
+        ("generator", "temperature", float("inf")),
+        ("critic", "timeout", 1e10),
+        ("generator", "timeout", float("inf")),
     ],
 )
 def test_cli_bench_mistyped_config_is_usage_error(tmp_path, capsys, section, key, value):

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-import tablex.checker as checker
 from tablex.checker import (
     ConvergenceThresholds,
+    EntityType,
     Rule,
     Signature,
     ValidationReport,
@@ -15,17 +15,13 @@ from tablex.checker import (
     compute_coverage,
     compute_hallucination,
     default_entity_patterns,
-    detect_delimiter_errors,
-    detect_empty_rows,
-    detect_entity_type,
-    detect_merged_cells,
-    detect_unbalanced_brackets,
     is_converged,
     load_entity_patterns,
     run_sanity_check,
 )
 from tablex.model import FlattenStyle, SourceText, Table, flatten_table
 
+import reference_checker
 from independent_recount import coverage_recount, hallucination_recount
 
 
@@ -37,12 +33,16 @@ def rule_set(violations):
     return {v.rule for v in violations}
 
 
-def entities_of(table):
-    return [detect_entity_type(texts) for texts in table.body_columns()]
+def entity_of(texts, patterns=None):
+    return check_column(texts, 0, patterns)[0]
 
 
 def sanity(table):
     return run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+
+
+def hits(table, rule):
+    return [v for v in sanity(table).violations if v.rule is rule]
 
 
 # ---------------------------------------------------------------------------
@@ -51,24 +51,24 @@ def sanity(table):
 
 
 def test_empty_row_detected():
-    violations = detect_empty_rows(table_of([["", "  "]]))
+    violations = hits(table_of([["", "  "]]), Rule.EMPTY_ROW)
     assert [v.rule for v in violations] == [Rule.EMPTY_ROW]
     assert violations[0].row == 0 and violations[0].col is None
 
 
 def test_partial_row_not_empty():
-    assert detect_empty_rows(table_of([["", "x"]])) == []
+    assert hits(table_of([["", "x"]]), Rule.EMPTY_ROW) == []
 
 
 def test_three_consecutive_empty_rows():
     table = table_of([["a", "b"], [" ", ""], ["", ""], ["\t", " "], ["c", "d"]])
-    violations = detect_empty_rows(table)
+    violations = hits(table, Rule.EMPTY_ROW)
     assert [v.row for v in violations] == [1, 2, 3]
 
 
 def test_header_rows_exempt_from_empty_rule():
     table = table_of([["x", "y"]], header=[["", ""]])
-    assert detect_empty_rows(table) == []
+    assert hits(table, Rule.EMPTY_ROW) == []
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +77,26 @@ def test_header_rows_exempt_from_empty_rule():
 
 
 def test_detect_dates():
-    entity = detect_entity_type(["2021-03-01", "2022-07-14", "2023-01-09"])
+    entity = entity_of(["2021-03-01", "2022-07-14", "2023-01-09"])
     assert entity is not None and entity.kind == "date"
 
 
 def test_detect_emails():
-    entity = detect_entity_type(["a@b.com", "c@d.org"])
+    entity = entity_of(["a@b.com", "c@d.org"])
     assert entity is not None and entity.kind == "email"
 
 
 def test_detect_nothing_below_threshold():
-    assert detect_entity_type(["12", "hello", "x7", "--", "9"]) is None
+    assert entity_of(["12", "hello", "x7", "--", "9"]) is None
 
 
 def test_detect_skips_empty_cells():
-    entity = detect_entity_type(["", "42", "", "17"])
+    entity = entity_of(["", "42", "", "17"])
     assert entity is not None and entity.kind == "number"
 
 
 def test_all_empty_column_has_no_type():
-    assert detect_entity_type(["", "  ", ""]) is None
+    assert entity_of(["", "  ", ""]) is None
 
 
 def test_number_matches_plus_minus_pairs_and_groups():
@@ -116,7 +116,7 @@ def test_load_entity_patterns_from_file(tmp_path):
     path = tmp_path / "patterns.json"
     path.write_text(json.dumps([{"kind": "digits", "pattern": r"\d+"}]))
     patterns = load_entity_patterns(path)
-    assert detect_entity_type(["12", "7"], patterns).kind == "digits"
+    assert entity_of(["12", "7"], patterns).kind == "digits"
 
 
 # ---------------------------------------------------------------------------
@@ -146,34 +146,38 @@ def test_empty_column_is_vacuous():
 
 
 def test_signature_flags_intruder():
-    violations, _, _ = check_column(["3.5", "2.5", "9.5", "7.5", "abc"], 1, None)
+    entity, violations, _, _ = check_column(["3.5", "2.5", "9.5", "7.5", "abc"], 1, ())
+    assert entity is None
     assert [v.rule for v in violations] == [Rule.INCONSISTENT_COLUMN]
     assert violations[0].col == 1 and "abc" in violations[0].detail
 
 
 def test_signature_uniform_column_clean():
-    assert check_column(["a-1", "b-2", "c-3"], 0, None)[0] == []
+    assert check_column(["a-1", "b-2", "c-3"], 0, ())[1] == []
 
 
 def test_signature_needs_majority():
-    assert check_column(["abc", "1.5"], 0, None)[0] == []
+    assert check_column(["abc", "1.5"], 0, ())[1] == []
 
 
-def test_entity_type_detected_once_per_column(monkeypatch):
+def test_each_cell_matched_once_per_pattern(monkeypatch):
+    # No "number" kind, so only the column pass matches: it types each
+    # column and judges its cells from one set of matches.
+    patterns = (EntityType("digits", r"\d+"), EntityType("word", r"[A-Za-z]+"))
     seen = []
-    detect = checker.detect_entity_type
+    matches = EntityType.matches
 
-    def counting(texts, *args, **kwargs):
-        seen.append(list(texts))
-        return detect(texts, *args, **kwargs)
+    def counting(entity, text):
+        seen.append((entity.kind, text))
+        return matches(entity, text)
 
-    monkeypatch.setattr(checker, "detect_entity_type", counting)
-    table = Table.from_rows(
-        header=[["Id", "Amount", "Note"]],
-        body=[["1", "102, 205", "(a"], ["2", "Revenue 750", ""], [("3", 1, 2), "x"]],
-    )
-    sanity(table)
-    assert seen == table.body_columns()
+    monkeypatch.setattr(EntityType, "matches", counting)
+    table = table_of([["1", "alpha"], ["2", "beta"], ["3", ""], ["x", "gamma"]])
+    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table, patterns, 0.75)
+    assert [v.col for v in report.violations] == [0]
+    digits = [("digits", text) for text in ("1", "2", "3", "x")]
+    words = [(kind, text) for kind in ("digits", "word") for text in ("alpha", "beta", "gamma")]
+    assert sorted(seen) == sorted(digits + words)
 
 
 def test_signature_fields():
@@ -194,64 +198,64 @@ def test_signature_fields():
 
 def test_merged_two_numeric_tokens():
     table = table_of([["102, 205"], ["300, 410"]])
-    violations = detect_merged_cells(table, entities_of(table))
+    violations = hits(table, Rule.MERGED_CELL)
     assert {v.rule for v in violations} == {Rule.MERGED_CELL}
     assert {(v.row, v.col) for v in violations} == {(0, 0), (1, 0)}
 
 
 def test_merged_label_in_numeric_column():
     table = table_of([["100"], ["200"], ["Revenue 750"], ["400"], ["500"]])
-    violations = detect_merged_cells(table, entities_of(table))
+    violations = hits(table, Rule.MERGED_CELL)
     assert [(v.row, v.col) for v in violations] == [(2, 0)]
 
 
 def test_merged_ignores_plain_words():
     table = table_of([["hello world"]])
-    assert detect_merged_cells(table, entities_of(table)) == []
+    assert hits(table, Rule.MERGED_CELL) == []
 
 
 def test_merged_ignores_plus_minus_values():
     table = table_of([["95±15.97"], ["88.36±21.97"], ["164.26±64.68"]])
-    assert detect_merged_cells(table, entities_of(table)) == []
+    assert hits(table, Rule.MERGED_CELL) == []
 
 
 def test_merged_word_outside_numeric_column_not_flagged():
     # "Revenue 750" only counts as merged when the column reads as numbers.
     table = table_of([["Revenue 750"], ["Cost summary"], ["Net totals"]])
-    assert detect_merged_cells(table, entities_of(table)) == []
+    assert hits(table, Rule.MERGED_CELL) == []
 
 
 def test_delimiter_fragmented_thousands():
-    violations = detect_delimiter_errors(table_of([["12", "345"]]))
+    violations = hits(table_of([["12", "345"]]), Rule.DELIMITER_ERROR)
     assert [(v.row, v.col) for v in violations] == [(0, 0)]
     assert violations[0].rule is Rule.DELIMITER_ERROR
 
 
 def test_delimiter_ignores_words():
-    assert detect_delimiter_errors(table_of([["12", "apples"]])) == []
+    assert hits(table_of([["12", "apples"]]), Rule.DELIMITER_ERROR) == []
 
 
 def test_delimiter_dangling_separator():
-    violations = detect_delimiter_errors(table_of([["1,", "234"]]))
+    violations = hits(table_of([["1,", "234"]]), Rule.DELIMITER_ERROR)
     assert [(v.row, v.col) for v in violations] == [(0, 0)]
 
 
 def test_delimiter_needs_exact_three_digit_right():
-    assert detect_delimiter_errors(table_of([["12", "34"]])) == []
-    assert detect_delimiter_errors(table_of([["1234", "567"]])) == []
+    assert hits(table_of([["12", "34"]]), Rule.DELIMITER_ERROR) == []
+    assert hits(table_of([["1234", "567"]]), Rule.DELIMITER_ERROR) == []
 
 
 def test_brackets_balanced_go_id():
-    assert detect_unbalanced_brackets(table_of([["(GO:0006412)"]])) == []
+    assert hits(table_of([["(GO:0006412)"]]), Rule.UNBALANCED_BRACKETS) == []
 
 
 def test_brackets_unclosed():
-    violations = detect_unbalanced_brackets(table_of([["(a"]]))
+    violations = hits(table_of([["(a"]]), Rule.UNBALANCED_BRACKETS)
     assert [(v.row, v.col) for v in violations] == [(0, 0)]
 
 
 def test_brackets_crossing_pair():
-    violations = detect_unbalanced_brackets(table_of([["[a(b]"]]))
+    violations = hits(table_of([["[a(b]"]]), Rule.UNBALANCED_BRACKETS)
     assert [v.rule for v in violations] == [Rule.UNBALANCED_BRACKETS]
 
 
@@ -392,16 +396,15 @@ def test_sanity_union_of_individual_rules():
     source = flatten_table(table, FlattenStyle.OCR)
     report = run_sanity_check(source, table)
 
-    expected = list(detect_empty_rows(table))
-    entities = entities_of(table)
-    for col, (texts, entity) in enumerate(zip(table.body_columns(), entities)):
-        expected += check_column(texts, col, entity)[0]
-    expected += detect_merged_cells(table, entities)
-    expected += detect_unbalanced_brackets(table)
-    expected += detect_delimiter_errors(table)
+    expected = reference_checker.detect_empty_rows(table)
+    expected += reference_checker.check_entity_consistency(table)[0]
+    expected += reference_checker.detect_merged_cells(table)
+    expected += reference_checker.detect_unbalanced_brackets(table)
+    expected += reference_checker.detect_delimiter_errors(table)
 
     as_key = lambda v: (v.rule.value, v.row, v.col, v.detail)
     assert sorted(map(as_key, report.violations)) == sorted(map(as_key, expected))
+    assert list(map(as_key, report.violations)) == list(map(as_key, expected))
 
 
 def test_sanity_row_permutation_invariance():

@@ -379,6 +379,7 @@ def test_backend_config_validation():
         BackendConfig(retries=-1)
     with pytest.raises(ValueError):
         BackendConfig(timeout=0)
+    assert BackendConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
 
 
 @pytest.mark.parametrize(
@@ -386,6 +387,20 @@ def test_backend_config_validation():
 )
 def test_backend_config_rejects_non_real_numbers(field, value):
     with pytest.raises(TypeError, match=f"{field} must be a number"):
+        BackendConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout", 1e10),  # above threading.TIMEOUT_MAX
+        ("timeout", float("inf")),
+        ("temperature", -0.5),
+        ("temperature", float("inf")),
+    ],
+)
+def test_backend_config_rejects_out_of_range_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be "):
         BackendConfig(**{field: value})
 
 
