@@ -32,6 +32,7 @@ DEFAULT_CONSISTENCY_THRESHOLD = 0.8
 _BRACKET_PAIRS = {")": "(", "]": "[", "}": "{"}
 _OPENERS = set(_BRACKET_PAIRS.values())
 _DANGLING_RE = re.compile(r"\d[,.]$")
+_BRACKET_RE = re.compile(r"[()\[\]{}]")
 
 
 class Rule(Enum):
@@ -182,15 +183,29 @@ def check_column(
     least ``threshold`` of them share, and judges nothing when no signature
     is that common. Returns the entity type, the violations and the
     consistent and violating (row, col) positions.
+
+    A pattern stops being matched at the miss that puts the threshold out
+    of its reach, so a losing pattern costs one match per cell only up to
+    that miss; the winning pattern matches every non-empty cell once.
     """
     if patterns is None:
         patterns = default_entity_patterns()
     present = [(r, text) for r, text in enumerate(texts) if text.strip()]
     if not present:
         return None, [], set(), set()
+    n = len(present)
     for entity in patterns:
-        fits = [entity.matches(text) for _, text in present]
-        if sum(fits) / len(present) >= threshold:
+        fits, misses = [], 0
+        for _, text in present:
+            fit = entity.matches(text)
+            fits.append(fit)
+            # the final share k / n is monotone in k, so once even all the
+            # cells left cannot lift it to the threshold the pattern is out
+            if not fit:
+                misses += 1
+                if (n - misses) / n < threshold:
+                    break
+        if (n - misses) / n >= threshold:
             claim = f"reads as {entity.kind} but mismatches"
             break
     else:
@@ -214,6 +229,8 @@ def check_column(
 
 def _has_unbalanced_brackets(text: str) -> bool:
     """Whether ``text`` has an unmatched or crossing (), [] or {} pair."""
+    if _BRACKET_RE.search(text) is None:
+        return False
     stack: list[str] = []
     for ch in text:
         if ch in _OPENERS:
@@ -237,7 +254,7 @@ def compute_coverage(source: SourceText, table: Table) -> float:
     """Fraction of the source's alphanumeric characters preserved in the
     table: 1 - uncovered/total. A source token is covered while the table's
     token multiset still has an identical token to consume."""
-    total = _alnum_len(source.raw)
+    total = source.alnum_count
     if total == 0:
         return 1.0
     table_tokens = Counter(tok for cell in table.cells() for tok in cell.text.split())
@@ -257,6 +274,8 @@ def compute_hallucination(source: SourceText, table: Table) -> float:
     A token equal to a source token is answered from their set, and each
     other distinct token scans the raw source once per call: the cost is
     linear in the source and the table, plus O(|source|) per such token.
+    Only a cell with a token not found is weighed: one whose tokens are all
+    found scores 0 whatever its alphanumerics, so they go uncounted.
     """
     rows = table.body_rows
     if not rows:
@@ -270,11 +289,14 @@ def compute_hallucination(source: SourceText, table: Table) -> float:
         return hit
 
     def uncovered(text: str) -> float:
+        missed = [tok for tok in text.split() if not found(tok)]
+        if not missed:
+            return 0.0  # as 1.0 - denom / denom, or a cell without alphanumerics
         denom = _alnum_len(text)
         if denom == 0:
             return 0.0
         # whitespace is never alphanumeric, so ``denom`` sums the tokens' weights
-        matched = denom - sum(_alnum_len(tok) for tok in text.split() if not found(tok))
+        matched = denom - sum(_alnum_len(tok) for tok in missed)
         return 1.0 - matched / denom
 
     total = 0.0
@@ -343,8 +365,10 @@ def run_sanity_check(
             # merged: several numeric tokens ("102, 205"), or a number and
             # a word in a column that reads as numbers ("Revenue 750")
             cores = [tok.strip(string.punctuation) for tok in text.split()]
-            numeric = sum(1 for core in cores if core and number is not None and number.matches(core))
             labelled = cell.col in number_columns and any(core.isalpha() for core in cores)
+            numeric = 0  # one unlabelled token cannot fire the rule, whatever it matches
+            if number is not None and (len(cores) >= 2 or labelled):
+                numeric = sum(1 for core in cores if core and number.matches(core))
             if numeric >= 2 or (numeric == 1 and labelled):
                 flag(Rule.MERGED_CELL, r, cell.col,
                      f"cell {cell.text!r} holds {numeric} numeric tokens")

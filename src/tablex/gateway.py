@@ -83,6 +83,10 @@ class BackendConfig:
     api_key_env: str = "TEN_API_KEY"
 
     def __post_init__(self) -> None:
+        for name in ("endpoint", "model_id", "api_key_env"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise TypeError(f"{name} must be a non-empty string, not {value!r}")
         for name in ("retries", "max_output_tokens"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -93,6 +97,8 @@ class BackendConfig:
                 raise TypeError(f"{name} must be a number, not {value!r}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.max_output_tokens < 1:
+            raise ValueError(f"max_output_tokens must be >= 1, not {self.max_output_tokens!r}")
         # a socket timeout above threading.TIMEOUT_MAX (about 9.2e9 s) overflows
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise ValueError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g}, not {self.timeout!r}")

@@ -28,6 +28,7 @@ class SourceText:
 
     ``tokens``, the whitespace-delimited chunks, is the view the coverage
     and hallucination computations read; it is split once per instance.
+    ``alnum_count``, coverage's denominator, is likewise counted once.
     """
 
     raw: str
@@ -35,6 +36,10 @@ class SourceText:
     @cached_property
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.raw.split())
+
+    @cached_property
+    def alnum_count(self) -> int:
+        return sum(1 for ch in self.raw if ch.isalnum())
 
 
 @dataclass(frozen=True)

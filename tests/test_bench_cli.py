@@ -499,6 +499,10 @@ def test_cli_bench_bad_parallel_or_timeout_is_usage_error(tmp_path, capsys, flag
         ("generator", "temperature", float("inf")),
         ("critic", "timeout", 1e10),
         ("generator", "timeout", float("inf")),
+        ("generator", "api_key_env", 5),
+        ("critic", "model_id", ""),
+        ("generator", "endpoint", None),
+        ("critic", "max_output_tokens", 0),
     ],
 )
 def test_cli_bench_mistyped_config_is_usage_error(tmp_path, capsys, section, key, value):

@@ -162,7 +162,8 @@ def test_signature_needs_majority():
 
 def test_each_cell_matched_once_per_pattern(monkeypatch):
     # No "number" kind, so only the column pass matches: it types each
-    # column and judges its cells from one set of matches.
+    # column and judges its cells from one set of matches, and drops a
+    # pattern at the miss that puts the threshold out of its reach.
     patterns = (EntityType("digits", r"\d+"), EntityType("word", r"[A-Za-z]+"))
     seen = []
     matches = EntityType.matches
@@ -175,9 +176,11 @@ def test_each_cell_matched_once_per_pattern(monkeypatch):
     table = table_of([["1", "alpha"], ["2", "beta"], ["3", ""], ["x", "gamma"]])
     report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table, patterns, 0.75)
     assert [v.col for v in report.violations] == [0]
+    # column 0: 3 of 4 is exactly 0.75, so "x" is a flagged outlier;
+    # column 1: 2 of 3 cells is below 0.75, so "digits" is out after "alpha"
     digits = [("digits", text) for text in ("1", "2", "3", "x")]
-    words = [(kind, text) for kind in ("digits", "word") for text in ("alpha", "beta", "gamma")]
-    assert sorted(seen) == sorted(digits + words)
+    words = [("digits", "alpha")] + [("word", text) for text in ("alpha", "beta", "gamma")]
+    assert seen == digits + words
 
 
 def test_signature_fields():

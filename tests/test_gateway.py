@@ -404,6 +404,22 @@ def test_backend_config_rejects_out_of_range_numbers(field, value):
         BackendConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("endpoint", ""), ("endpoint", None), ("model_id", ""), ("model_id", 4), ("api_key_env", 5), ("api_key_env", "")],
+)
+def test_backend_config_rejects_bad_strings(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be a non-empty string"):
+        BackendConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_backend_config_rejects_non_positive_max_output_tokens(value):
+    with pytest.raises(ValueError, match="max_output_tokens must be >= 1"):
+        BackendConfig(max_output_tokens=value)
+    assert BackendConfig(max_output_tokens=1).max_output_tokens == 1
+
+
 def test_store_concurrent_writers(tmp_path):
     store = TranscriptStore(tmp_path)
     exchanges = [(f"p{i}", f"r{i}") for i in range(20)]
