@@ -14,7 +14,6 @@ concurrent use.
 from __future__ import annotations
 
 import json
-import math
 import re
 import string
 from collections import Counter
@@ -25,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+from .errors import check_fields
 from .model import SourceText, Table
 
 DEFAULT_CONSISTENCY_THRESHOLD = 0.8
@@ -121,7 +121,9 @@ class Violation:
 @dataclass(frozen=True)
 class ConvergenceThresholds:
     """Bounds for accepting a candidate. Setting a bound to its vacuous
-    value (0.0 for minima, 1.0 for maxima) disables that check."""
+    value (0.0 for minima, 1.0 for maxima) disables that check. Any real
+    number but NaN is accepted, infinities included: the scores lie in
+    [0, 1], so past 0.0 or 1.0 a bound is unreachable or vacuous."""
 
     min_coverage: float = 0.90
     max_hallucination: float = 0.20
@@ -129,9 +131,7 @@ class ConvergenceThresholds:
     min_goodness: float = 0.50
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-                raise TypeError(f"{name} must be a number, not {value!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,11 @@ from .checker import (
     load_entity_patterns,
     run_sanity_check,
 )
-from .errors import TablexError, UsageError
+from .errors import TablexError, UsageError, check_value
 from .gateway import Backend, BackendConfig, PromptKind, build_backend
 from .metrics import evaluate
 from .model import SourceText, serialize_csv, serialize_html
-from .pipeline import PipelineConfig, run_ten
-
-_PROMPT_ALIASES = {
-    "sd": PromptKind.STRUCTURAL_DECOMPOSITION,
-    "base": PromptKind.BASELINE,
-    "cot": PromptKind.CHAIN_OF_THOUGHT,
-}
+from .pipeline import GENERATION_KINDS, PipelineConfig, run_ten
 
 CACHE_DIR_ENV = "TEN_CACHE_DIR"
 
@@ -60,10 +54,6 @@ def _backend_config(section: dict, args: argparse.Namespace) -> BackendConfig:
     return BackendConfig(**merged)
 
 
-def _cache_dir(args: argparse.Namespace, config: dict) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_DIR_ENV) or config.get("cache_dir")
-
-
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """Build the loop's configuration. An unknown key, a bad value or a
     cache mode without a cache directory is a usage error, prefixed with
@@ -71,27 +61,29 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     path = getattr(args, "config", None)
     config = _load_config(path)
     try:
+        for key, value in config.items():
+            if key == "cache_dir":
+                check_value(key, value, str)
+            elif key not in ("generator", "critic", "thresholds", "pipeline"):
+                raise ValueError(f"unknown key {key!r}")
+            elif not isinstance(value, dict):
+                raise TypeError(f"section {key!r} must be a JSON object, not {value!r}")
         mode = "replay" if args.replay else "record" if args.record else "live"
-        cache_dir = _cache_dir(args, config)
+        cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or config.get("cache_dir")
         generator: Backend = build_backend(_backend_config(config.get("generator", {}), args), mode, cache_dir)
         # the critic shares the generator's backend unless the config file names its own
         critic: Backend = generator
         if "critic" in config:
             critic = build_backend(BackendConfig(**config["critic"]), mode, cache_dir)
         pipeline_section = dict(config.get("pipeline", {}))
-        prompt_alias = getattr(args, "prompt", None) or pipeline_section.pop("generation_prompt", "sd")
+        if getattr(args, "prompt", None):
+            pipeline_section["generation_prompt"] = args.prompt
         if getattr(args, "last_iteration", False):
             pipeline_section["keep_last_iteration"] = True
-        if prompt_alias not in _PROMPT_ALIASES:
-            raise ValueError(f"unknown generation_prompt {prompt_alias!r}")
+        if "generation_prompt" in pipeline_section:
+            pipeline_section["generation_prompt"] = PromptKind(pipeline_section["generation_prompt"])
         thresholds = ConvergenceThresholds(**config.get("thresholds", {}))
-        return PipelineConfig(
-            generator=generator,
-            critic=critic,
-            thresholds=thresholds,
-            generation_prompt=_PROMPT_ALIASES[prompt_alias],
-            **pipeline_section,
-        )
+        return PipelineConfig(generator=generator, critic=critic, thresholds=thresholds, **pipeline_section)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}" if path else str(exc)) from exc
 
@@ -143,13 +135,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.parallel < 1:
-        raise UsageError(f"--parallel must be at least 1, not {args.parallel}")
-    # threading.TIMEOUT_MAX (about 9.2e9 s) is the documented upper bound
-    if args.timeout is not None and not 0 < args.timeout <= threading.TIMEOUT_MAX:
-        raise UsageError(
-            f"--timeout must be a positive number of seconds up to {threading.TIMEOUT_MAX:g}, not {args.timeout:g}"
-        )
+    try:
+        check_value("--parallel", args.parallel, int, min=1)
+        if args.timeout is not None:
+            check_value("--timeout", args.timeout, float, above=0, max=threading.TIMEOUT_MAX)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
     tasks = benchmod.ingest_dataset(args.dir, args.format)
     cfg = _pipeline_config(args)
     timeout = args.timeout if args.timeout else (None if args.replay else 120.0)
@@ -190,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_extract = sub.add_parser("extract", help="reconstruct a table from a text file")
     p_extract.add_argument("input", help="input text file")
-    p_extract.add_argument("--prompt", choices=sorted(_PROMPT_ALIASES), default=None)
+    p_extract.add_argument("--prompt", choices=sorted(kind.value for kind in GENERATION_KINDS), default=None)
     p_extract.add_argument("--out", choices=("html", "csv", "json"), default="html")
     p_extract.add_argument("--output", help="write result here instead of stdout")
     _add_backend_flags(p_extract)
@@ -217,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, help="per-task timeout in seconds, from the task's start"
     )
     p_bench.add_argument("--outputs", help="directory for per-task traces and tables")
-    p_bench.add_argument("--prompt", choices=sorted(_PROMPT_ALIASES), default=None)
+    p_bench.add_argument("--prompt", choices=sorted(kind.value for kind in GENERATION_KINDS), default=None)
     _add_backend_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 

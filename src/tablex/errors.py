@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a config value."""
 
 from __future__ import annotations
+
+import dataclasses
+from operator import ge, gt, le, lt
 
 
 class TablexError(Exception):
@@ -90,3 +93,33 @@ class UnreadableFile(TablexError):
 
 class NoTasksFound(TablexError):
     """A dataset directory produced no benchmark tasks."""
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a non-empty string", bool: "a bool"}
+_KIND_NAMES = {kind.__name__: kind for kind in _KINDS}  # annotations under `from __future__ import annotations`
+_BOUNDS = {"min": (">=", ge), "above": (">", gt), "max": ("<=", le), "below": ("<", lt)}
+
+
+def check_value(name: str, value: object, kind: type, **bounds: float) -> None:
+    """Raise ``TypeError`` unless ``value`` is of ``kind`` (``int``: an int;
+    ``float``: an int or float, not NaN; neither a bool; ``str``: non-empty;
+    ``bool``), then ``ValueError`` unless it meets each bound: ``min`` (>=),
+    ``above`` (>), ``max`` (<=), ``below`` (<)."""
+    if kind is float:  # NaN is the one value unequal to itself; math.isnan overflows on a huge int
+        ok = isinstance(value, (int, float)) and value == value
+    else:
+        ok = isinstance(value, kind) and value != ""
+    if not ok or (kind is not bool and isinstance(value, bool)):
+        raise TypeError(f"{name} must be {_KINDS[kind]}, not {value!r}")
+    if not all(_BOUNDS[bound][1](value, limit) for bound, limit in bounds.items()):
+        wanted = " and ".join(f"{_BOUNDS[bound][0]} {limit:g}" for bound, limit in bounds.items())
+        raise ValueError(f"{name} must be {wanted}, not {value!r}")
+
+
+def check_fields(config: object) -> None:
+    """``check_value`` on each dataclass field annotated ``int``, ``float``,
+    ``str`` or ``bool``, with the bounds in the field's ``metadata``."""
+    for field in dataclasses.fields(config):
+        kind = _KIND_NAMES.get(field.type, field.type)
+        if kind in _KINDS:
+            check_value(field.name, getattr(config, field.name), kind, **field.metadata)

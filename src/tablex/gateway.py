@@ -16,7 +16,7 @@ import re
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -26,6 +26,7 @@ from typing import Protocol
 import requests
 
 from .errors import AuthMissingError, CorruptTranscript, MissingSlot, ReplayMissError, StoreWriteFailure, TransportError
+from .errors import check_fields
 
 
 class PromptKind(Enum):
@@ -76,35 +77,16 @@ def render_prompt(kind: PromptKind, slots: dict[str, str]) -> str:
 class BackendConfig:
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model_id: str = "gpt-4o"
-    temperature: float = 0.0
-    max_output_tokens: int = 4096
-    timeout: float = 60.0
-    retries: int = 2
+    # an infinite temperature is not JSON, so no request body could carry it
+    temperature: float = field(default=0.0, metadata={"min": 0, "below": math.inf})
+    max_output_tokens: int = field(default=4096, metadata={"min": 1})
+    # a socket timeout above threading.TIMEOUT_MAX (about 9.2e9 s) overflows
+    timeout: float = field(default=60.0, metadata={"above": 0, "max": threading.TIMEOUT_MAX})
+    retries: int = field(default=2, metadata={"min": 0})
     api_key_env: str = "TEN_API_KEY"
 
     def __post_init__(self) -> None:
-        for name in ("endpoint", "model_id", "api_key_env"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise TypeError(f"{name} must be a non-empty string, not {value!r}")
-        for name in ("retries", "max_output_tokens"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, not {value!r}")
-        for name in ("timeout", "temperature"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-                raise TypeError(f"{name} must be a number, not {value!r}")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError(f"max_output_tokens must be >= 1, not {self.max_output_tokens!r}")
-        # a socket timeout above threading.TIMEOUT_MAX (about 9.2e9 s) overflows
-        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
-            raise ValueError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g}, not {self.timeout!r}")
-        # an infinite temperature is not JSON, so no request body could carry it
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0, not {self.temperature!r}")
+        check_fields(self)
 
     @property
     def params(self) -> dict:

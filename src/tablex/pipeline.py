@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 from .checker import ConvergenceThresholds, ValidationReport, is_converged, run_sanity_check
 from .errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, NoCandidateProduced
+from .errors import check_fields
 from .gateway import Backend, PromptKind, render_prompt
 from .model import SourceText, Table, concat_partial_tables, parse_extraction_json, serialize_html
 from .model import normalize_rectangular  # noqa: F401  (perfbench/spans.py traces this name)
 
-_GENERATION_KINDS = (
+GENERATION_KINDS = (
     PromptKind.STRUCTURAL_DECOMPOSITION,
     PromptKind.BASELINE,
     PromptKind.CHAIN_OF_THOUGHT,
@@ -27,27 +28,18 @@ _GENERATION_KINDS = (
 class PipelineConfig:
     generator: Backend
     critic: Backend
-    max_iterations: int = 5
+    max_iterations: int = field(default=5, metadata={"min": 1})
     thresholds: ConvergenceThresholds = field(default_factory=ConvergenceThresholds)
     generation_prompt: PromptKind = PromptKind.STRUCTURAL_DECOMPOSITION
-    parse_retry_limit: int = 1
+    parse_retry_limit: int = field(default=1, metadata={"min": 0})
     # True restores the literal return-the-last-candidate behavior on
     # exhaustion; by default the best-scoring candidate wins instead,
     # because a late critique round can regress the table.
     keep_last_iteration: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("max_iterations", "parse_retry_limit"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, not {value!r}")
-        if not isinstance(self.keep_last_iteration, bool):
-            raise TypeError(f"keep_last_iteration must be a bool, not {self.keep_last_iteration!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.parse_retry_limit < 0:
-            raise ValueError("parse_retry_limit must be >= 0")
-        if self.generation_prompt not in _GENERATION_KINDS:
+        check_fields(self)
+        if self.generation_prompt not in GENERATION_KINDS:
             raise ValueError(f"{self.generation_prompt} is not a generation prompt")
 
 

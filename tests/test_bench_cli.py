@@ -376,6 +376,10 @@ def test_cli_unreadable_config_is_usage_error(tmp_path, capsys, kind):
         ({"thresholds": {"min_coverag": 0.5}}, "min_coverag"),
         ({"pipeline": {"max_iteration": 3}}, "max_iteration"),
         ({"pipeline": {"generation_prompt": "zz"}}, "zz"),  # a bad value, not a bad key
+        ({"thresholdz": {"min_coverage": 0.5}}, "thresholdz"),
+        ({"pipeline": [["max_iterations", 2]]}, "pipeline"),  # a section that is not an object
+        ({"generator": [["model_id", "m"]]}, "generator"),
+        ({"cache_dir": ""}, ""),  # an empty string would put transcripts in the working directory
     ],
 )
 def test_cli_unknown_config_key_is_usage_error(tmp_path, capsys, config, named):
@@ -503,6 +507,7 @@ def test_cli_bench_bad_parallel_or_timeout_is_usage_error(tmp_path, capsys, flag
         ("critic", "model_id", ""),
         ("generator", "endpoint", None),
         ("critic", "max_output_tokens", 0),
+        pytest.param("generator", "timeout", 10**400, id="generator-timeout-10**400"),  # too large for a float
     ],
 )
 def test_cli_bench_mistyped_config_is_usage_error(tmp_path, capsys, section, key, value):
@@ -699,7 +704,9 @@ def test_cli_extract_record_then_replay(tmp_path, monkeypatch):
     assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "recorded.json").read_bytes()
 
 
-def test_cli_extract_baseline_prompt(tmp_path, capsys):
+@pytest.mark.parametrize("config_file", [None, {"pipeline": {"generation_prompt": "sd"}}], ids=["no-config", "config-sd"])
+def test_cli_extract_baseline_prompt(tmp_path, capsys, config_file):
+    """``--prompt`` wins over the config file's ``generation_prompt``."""
     gold = simple_gold("alpha", "beta")
     source = flatten_table(gold, FlattenStyle.OCR)
     cache_dir = tmp_path / "cache"
@@ -707,6 +714,8 @@ def test_cli_extract_baseline_prompt(tmp_path, capsys):
     prompt = render_prompt(PromptKind.BASELINE, {"Input Text": source.raw})
     TranscriptStore(cache_dir).put(prompt, envelope(gold), config)
     (tmp_path / "input.txt").write_bytes(source.raw.encode())
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_file))
     code = cli(
         [
             "extract",
@@ -719,6 +728,7 @@ def test_cli_extract_baseline_prompt(tmp_path, capsys):
             "--model",
             MODEL,
         ]
+        + ([] if config_file is None else ["--config", str(config_path)])
     )
     assert code == 0
     assert "<table>" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 
 import pytest
 
-from tablex.checker import Rule, run_sanity_check
+from tablex.checker import ConvergenceThresholds, Rule, run_sanity_check
 from tablex.errors import NoCandidateProduced, TransportError
 from tablex.gateway import (
     BackendConfig,
@@ -309,6 +311,21 @@ def test_pipeline_config_keep_last_iteration_must_be_bool(value):
     backend = ScriptedBackend([])
     with pytest.raises(TypeError, match="keep_last_iteration must be a bool"):
         PipelineConfig(generator=backend, critic=backend, keep_last_iteration=value)
+
+
+@pytest.mark.parametrize("cls", [BackendConfig, PipelineConfig, ConvergenceThresholds])
+def test_every_scalar_config_field_is_checked(cls):
+    """Each field annotated int, float, str or bool refuses a value of no such
+    kind, naming the field; ``get_type_hints`` resolves the annotation
+    whether or not the module defers it as a string."""
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls) if hints[f.name] in (int, float, str, bool)]
+    assert len(names) >= 3
+    backend = ScriptedBackend([])
+    required = {"generator": backend, "critic": backend} if cls is PipelineConfig else {}
+    for name in names:
+        with pytest.raises(TypeError, match=f"^{name} must be "):
+            cls(**required, **{name: object()})
 
 
 def test_trace_serialization_shape():
