@@ -23,7 +23,6 @@ from .metrics import MetricReport, evaluate, exact_match, tree_edit_distance
 from .model import (
     Cell,
     ExtractionResult,
-    FlattenStyle,
     SourceText,
     Table,
     concat_partial_tables,
@@ -43,7 +42,6 @@ __all__ = [
     "ConvergenceThresholds",
     "EntityType",
     "ExtractionResult",
-    "FlattenStyle",
     "MetricReport",
     "PipelineConfig",
     "PipelineResult",

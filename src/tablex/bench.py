@@ -21,7 +21,6 @@ from .errors import HtmlParseFailure, NoTasksFound, TaskTimeout, UnreadableFile
 from .gateway import Backend
 from .metrics import MetricReport, evaluate
 from .model import (
-    FlattenStyle,
     SourceText,
     Table,
     flatten_table,
@@ -125,7 +124,7 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
             if path.suffix.lower() not in suffixes:
                 continue
             gold = load_table(path)
-            source = flatten_table(gold, FlattenStyle.OCR)
+            source = flatten_table(gold)
             tasks.append(Task(id=path.stem, source=source, gold=gold, provenance=str(path)))
     else:
         for path in sorted(directory.glob("*.txt")):

@@ -50,10 +50,6 @@ def template_text(kind: PromptKind) -> str:
     )
 
 
-def template_checksum(kind: PromptKind) -> str:
-    return hashlib.sha256(template_text(kind).encode("utf-8")).hexdigest()
-
-
 def render_prompt(kind: PromptKind, slots: dict[str, str]) -> str:
     """Substitute ``{{Name}}`` placeholders; the template text is otherwise
     reproduced byte for byte."""
@@ -115,11 +111,11 @@ class TranscriptStore:
     Writes are atomic (temp file + rename) and first-write-wins, so
     re-recording an identical exchange leaves the stored bytes untouched.
     Reads are lock-free; a lock serializes writers within this process.
+    The directory is created by the first write, so replay creates nothing.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._write_lock = threading.Lock()
 
     def path(self, fingerprint: str) -> Path:
@@ -129,10 +125,11 @@ class TranscriptStore:
         """The stored record, or None if never recorded; an unreadable
         record or one without a string ``response`` is corrupt."""
         path = self.path(fingerprint)
-        if not path.exists():
-            return None
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as handle:
+                record = json.load(handle)
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError) as exc:
             raise CorruptTranscript(f"unreadable transcript {path}: {exc}") from exc
         if not isinstance(record, dict) or not isinstance(record.get("response"), str):
@@ -157,6 +154,7 @@ class TranscriptStore:
             text = json.dumps(record, indent=2, sort_keys=True)
             tmp = None
             try:
+                self.root.mkdir(parents=True, exist_ok=True)
                 # a private temp name: concurrent writers never share one
                 fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
                 with open(fd, "w", encoding="utf-8") as handle:

@@ -164,27 +164,15 @@ def cell_value_match(pred: Table, gold: Table) -> float:
     return matched.total() / gold_cells.total() * 100.0
 
 
-def _body_columns(table: Table) -> list[tuple[str, ...]]:
-    return [tuple(_norm(v) for v in col) for col in table.body_columns()]
-
-
 def column_value_match(pred: Table, gold: Table) -> float:
-    """Percentage of gold columns whose ordered body-cell sequence is
-    reproduced by some prediction column; each prediction column is usable
-    once, assigned greedily left to right."""
-    gold_columns = _body_columns(gold)
-    pred_columns = _body_columns(pred)
+    """Percentage of gold columns whose ordered, normalized body-cell
+    sequence is reproduced by a prediction column (multiset intersection,
+    each prediction column matching once)."""
+    gold_columns = Counter(tuple(map(_norm, column)) for column in gold.body_columns())
+    pred_columns = Counter(tuple(map(_norm, column)) for column in pred.body_columns())
     if not gold_columns:
         return 100.0 if not pred_columns else 0.0
-    used = [False] * len(pred_columns)
-    matched = 0
-    for column in gold_columns:
-        for i, candidate in enumerate(pred_columns):
-            if not used[i] and candidate == column:
-                used[i] = True
-                matched += 1
-                break
-    return matched / len(gold_columns) * 100.0
+    return (gold_columns & pred_columns).total() / gold_columns.total() * 100.0
 
 
 @dataclass(frozen=True)

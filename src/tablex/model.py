@@ -14,7 +14,6 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from html.parser import HTMLParser
 from typing import Iterator, Sequence
@@ -469,33 +468,24 @@ def concat_partial_tables(result: ExtractionResult) -> Table:
 # ---------------------------------------------------------------------------
 
 
-class FlattenStyle(Enum):
-    OCR = "ocr"
-    CSV = "csv"
+def flatten_table(table: Table) -> SourceText:
+    """Flatten a normalized table into delimiter-free benchmark text: the
+    non-empty cell texts of each row joined with single spaces, and rows
+    with CRLF, mimicking copy-paste output where empty cells leave no
+    trace."""
+    lines = []
+    for row in table.rows:
+        lines.append(" ".join(cell.text for cell in row if cell.text != ""))
+    return SourceText("\r\n".join(lines))
 
 
-def flatten_table(table: Table, style: FlattenStyle = FlattenStyle.OCR) -> SourceText:
-    """Flatten a normalized table into delimiter-free benchmark text.
-
-    ``OCR`` joins the non-empty cell texts of each row with single spaces
-    and rows with CRLF, mimicking copy-paste output where empty cells leave
-    no trace. ``CSV`` keeps every cell positionally, comma-joined with
-    minimal quoting.
-    """
-    if style is FlattenStyle.OCR:
-        lines = []
-        for row in table.rows:
-            lines.append(" ".join(cell.text for cell in row if cell.text != ""))
-        return SourceText("\r\n".join(lines))
+def serialize_csv(table: Table) -> str:
+    """Every cell positionally, comma-joined with minimal quoting, CRLF rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     for row in table.rows:
         writer.writerow([cell.text for cell in row])
-    return SourceText(buffer.getvalue().rstrip("\r\n"))
-
-
-def serialize_csv(table: Table) -> str:
-    return flatten_table(table, FlattenStyle.CSV).raw
+    return buffer.getvalue().rstrip("\r\n")
 
 
 def parse_csv_table(text: str) -> Table:

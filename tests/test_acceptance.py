@@ -35,7 +35,6 @@ from tablex.metrics import (
     tree_edit_distance,
 )
 from tablex.model import (
-    FlattenStyle,
     SourceText,
     Table,
     concat_partial_tables,
@@ -138,7 +137,7 @@ def test_criterion_3_checker_rule_precision(corrupted_corpus):
     clean = 0
     for fx in corrupted_corpus:
         table = Table.from_rows(body=fx["rows"], header=fx["header"])
-        source = flatten_table(table, FlattenStyle.OCR)
+        source = flatten_table(table)
         report = run_sanity_check(source, table)
         got = sorted({v.rule.value for v in report.violations})
         want = sorted(fx["planted"])
@@ -374,7 +373,7 @@ def test_criterion_9_performance_smoke():
         row += [f"{rng.randint(1, 999)}.{rng.randint(10, 99)}" for _ in range(9)]
         body.append(row)
     table = Table.from_rows(header=[[f"c{i}" for i in range(10)]], body=body)
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
 
     started = time.perf_counter()
     run_sanity_check(source, table)
@@ -437,7 +436,7 @@ def test_ted_performance_smoke_on_differing_tables(edit, bound):
 
 def test_criterion_10_cli_contract(tmp_path, capsys):
     gold = Table.from_rows(header=[["Name", "Qty"]], body=[["alpha", "1"], ["beta", "2"]])
-    source = flatten_table(gold, FlattenStyle.OCR)
+    source = flatten_table(gold)
     cache_dir = tmp_path / "cache"
     _record_generation(cache_dir, source.raw, envelope(gold))
 

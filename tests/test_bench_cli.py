@@ -21,7 +21,6 @@ from tablex.gateway import (
     request_fingerprint,
 )
 from tablex.model import (
-    FlattenStyle,
     Table,
     flatten_table,
     parse_csv_table,
@@ -72,7 +71,7 @@ def test_ingest_csv_dir(tmp_path):
     tasks = ingest_dataset(tmp_path, "csv")
     assert [t.id for t in tasks] == ["a", "b", "c"]
     for task in tasks:
-        assert task.source.raw == flatten_table(task.gold, FlattenStyle.OCR).raw
+        assert task.source.raw == flatten_table(task.gold).raw
 
 
 def test_ingest_html_dir(tmp_path):
@@ -138,7 +137,7 @@ def seed_dataset(tmp_path, with_errors=False):
     for i, (a, b) in enumerate(words):
         gold = simple_gold(a, b)
         (data_dir / f"t{i}.csv").write_text(serialize_csv(gold) + "\r\n")
-        source = flatten_table(gold, FlattenStyle.OCR)
+        source = flatten_table(gold)
         if with_errors and i >= 2:
             swapped = Table.from_rows(header=[["Name", "Qty"]], body=[[a, "2"], [b, "1"]])
             record_generation(cache_dir, source.raw, envelope(swapped))
@@ -289,7 +288,7 @@ def test_cli_eval_identical_tables(tmp_path, capsys):
 def test_cli_check_reports_merged_cell(tmp_path, capsys):
     table = Table.from_rows(header=[["Name", "Values"]], body=[["north", "102, 205"], ["south", "300, 410"]])
     (tmp_path / "bad.html").write_text(serialize_html(table))
-    (tmp_path / "src.txt").write_text(flatten_table(table, FlattenStyle.OCR).raw)
+    (tmp_path / "src.txt").write_text(flatten_table(table).raw)
     code = cli(["check", str(tmp_path / "bad.html"), "--source", str(tmp_path / "src.txt")])
     assert code == 0
     assert "Merged Cell" in capsys.readouterr().out
@@ -297,7 +296,7 @@ def test_cli_check_reports_merged_cell(tmp_path, capsys):
 
 def test_cli_extract_replay_roundtrip(tmp_path, capsys):
     gold = simple_gold("alpha", "beta")
-    source = flatten_table(gold, FlattenStyle.OCR)
+    source = flatten_table(gold)
     cache_dir = tmp_path / "cache"
     record_generation(cache_dir, source.raw, envelope(gold))
     input_path = tmp_path / "input.txt"
@@ -325,6 +324,16 @@ def test_cli_extract_replay_miss_is_task_failure(tmp_path, capsys):
     code = cli(["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(cache)])
     assert code == 1
     assert "fingerprint" in capsys.readouterr().err
+
+
+def test_cli_extract_replay_creates_no_cache_dir(tmp_path, capsys):
+    # replay only reads: a cache directory that does not exist is a miss, not made
+    (tmp_path / "input.txt").write_text("never recorded")
+    cache = tmp_path / "no" / "such"
+    code = cli(["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(cache)])
+    assert code == 1
+    assert "fingerprint" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
 
 
 @pytest.mark.parametrize("content", ['{"response": "trunc', '{"prompt": "no response"}'])
@@ -546,7 +555,7 @@ def test_cli_help_exits_zero(capsys):
 
 def test_cli_config_file_and_cache_env(tmp_path, capsys, monkeypatch):
     gold = simple_gold("alpha", "beta")
-    source = flatten_table(gold, FlattenStyle.OCR)
+    source = flatten_table(gold)
     cache_dir = tmp_path / "cache"
     record_generation(cache_dir, source.raw, envelope(gold), model="configured-model")
     (tmp_path / "input.txt").write_text(source.raw)
@@ -571,7 +580,7 @@ def test_cli_config_file_and_cache_env(tmp_path, capsys, monkeypatch):
 def test_cli_check_custom_patterns(tmp_path, capsys):
     table = Table.from_rows(body=[["AB-12"], ["CD-34"], ["EF-56"], ["GH-78"], ["99"]])
     (tmp_path / "t.html").write_text(serialize_html(table))
-    (tmp_path / "src.txt").write_text(flatten_table(table, FlattenStyle.OCR).raw)
+    (tmp_path / "src.txt").write_text(flatten_table(table).raw)
     patterns = tmp_path / "patterns.json"
     patterns.write_text(json.dumps([{"kind": "code", "pattern": "[A-Z]{2}-\\d{2}"}]))
     code = cli(
@@ -594,7 +603,7 @@ def test_cli_check_empty_patterns_type_no_column(tmp_path, capsys):
     number, so the checker falls back to signature analysis."""
     table = Table.from_rows(body=[["1"], ["2"], ["3"], ["4"], ["x"]])
     (tmp_path / "t.html").write_text(serialize_html(table))
-    (tmp_path / "src.txt").write_text(flatten_table(table, FlattenStyle.OCR).raw)
+    (tmp_path / "src.txt").write_text(flatten_table(table).raw)
     (tmp_path / "patterns.json").write_text("[]")
     argv = ["check", str(tmp_path / "t.html"), "--source", str(tmp_path / "src.txt")]
     assert cli(argv + ["--patterns", str(tmp_path / "patterns.json")]) == 0
@@ -610,7 +619,7 @@ def test_cli_check_empty_patterns_type_no_column(tmp_path, capsys):
 def test_cli_bad_patterns_is_usage_error(tmp_path, capsys, content):
     table = Table.from_rows(body=[["AB-12"], ["CD-34"]])
     (tmp_path / "t.html").write_text(serialize_html(table))
-    (tmp_path / "src.txt").write_text(flatten_table(table, FlattenStyle.OCR).raw)
+    (tmp_path / "src.txt").write_text(flatten_table(table).raw)
     patterns = tmp_path / "patterns.json"
     if content is not None:
         patterns.write_text(content)
@@ -635,7 +644,7 @@ def test_cli_unreadable_input_is_one_line_task_failure(tmp_path, capsys, command
     table = tmp_path / "t.html"
     table.write_text(serialize_html(gold))
     source = tmp_path / "src.txt"
-    source.write_text(flatten_table(gold, FlattenStyle.OCR).raw)
+    source.write_text(flatten_table(gold).raw)
     name, content = BAD_INPUTS[bad]
     bad_file = tmp_path / name
     bad_file.write_bytes(content)
@@ -708,7 +717,7 @@ def test_cli_extract_record_then_replay(tmp_path, monkeypatch):
 def test_cli_extract_baseline_prompt(tmp_path, capsys, config_file):
     """``--prompt`` wins over the config file's ``generation_prompt``."""
     gold = simple_gold("alpha", "beta")
-    source = flatten_table(gold, FlattenStyle.OCR)
+    source = flatten_table(gold)
     cache_dir = tmp_path / "cache"
     config = BackendConfig(model_id=MODEL)
     prompt = render_prompt(PromptKind.BASELINE, {"Input Text": source.raw})

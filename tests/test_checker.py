@@ -19,7 +19,7 @@ from tablex.checker import (
     load_entity_patterns,
     run_sanity_check,
 )
-from tablex.model import FlattenStyle, SourceText, Table, flatten_table
+from tablex.model import SourceText, Table, flatten_table
 
 import reference_checker
 from independent_recount import coverage_recount, hallucination_recount
@@ -38,7 +38,7 @@ def entity_of(texts, patterns=None):
 
 
 def sanity(table):
-    return run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+    return run_sanity_check(flatten_table(table), table)
 
 
 def hits(table, rule):
@@ -174,7 +174,7 @@ def test_each_cell_matched_once_per_pattern(monkeypatch):
 
     monkeypatch.setattr(EntityType, "matches", counting)
     table = table_of([["1", "alpha"], ["2", "beta"], ["3", ""], ["x", "gamma"]])
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table, patterns, 0.75)
+    report = run_sanity_check(flatten_table(table), table, patterns, 0.75)
     assert [v.col for v in report.violations] == [0]
     # column 0: 3 of 4 is exactly 0.75, so "x" is a flagged outlier;
     # column 1: 2 of 3 cells is below 0.75, so "digits" is out after "alpha"
@@ -342,7 +342,7 @@ def clean_numeric_3x3():
 
 def test_sanity_clean_table():
     table = clean_numeric_3x3()
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+    report = run_sanity_check(flatten_table(table), table)
     assert report.goodness_score == 1.0
     assert report.badness_score == 0.0
     assert report.violations == ()
@@ -355,7 +355,7 @@ def test_sanity_uneven_merged_fixture():
         header=[["Region", "FY21", "FY22"]],
         body=[["North", "102, 205", ""], ["South", "87", "93"], ["Total", "189, 298", ""]],
     )
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+    report = run_sanity_check(flatten_table(table), table)
     assert {v.rule for v in report.violations} == {Rule.MERGED_CELL}
     assert len(report.violations) == 2
     assert report.total_cells == 9
@@ -367,7 +367,7 @@ def test_sanity_uneven_merged_fixture():
 
 def test_sanity_ten_cell_arithmetic():
     table = table_of([["1", "a", "x", "(m", "102, 205"], ["2", "b", "y", "n", "hello world"]])
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+    report = run_sanity_check(flatten_table(table), table)
     assert report.total_cells == 10
     assert report.violating_cells == 2
     assert report.consistent_cells == 6
@@ -378,7 +378,7 @@ def test_sanity_ten_cell_arithmetic():
 def test_sanity_cell_flagged_by_many_rules_counts_once():
     # "(1, 2" is merged AND has unbalanced brackets
     table = table_of([["(1, 2"], ["(3, 4"]])
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+    report = run_sanity_check(flatten_table(table), table)
     kinds = {v.rule for v in report.violations}
     assert Rule.MERGED_CELL in kinds and Rule.UNBALANCED_BRACKETS in kinds
     assert report.violating_cells == 2
@@ -396,7 +396,7 @@ def test_sanity_union_of_individual_rules():
             ["", "", ""],
         ],
     )
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     report = run_sanity_check(source, table)
 
     expected = reference_checker.detect_empty_rows(table)
@@ -413,7 +413,7 @@ def test_sanity_union_of_individual_rules():
 def test_sanity_row_permutation_invariance():
     body = [["a", "1"], ["b", "2"], ["(c", "oops"], ["d", "4"], ["e", "5"]]
     table = table_of(body)
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     rng = random.Random(7)
     for _ in range(5):
         shuffled = body[:]
@@ -440,7 +440,7 @@ def test_coverage_monotone_under_cell_addition():
 
 def test_report_serializes_with_stable_fields():
     table = table_of([["102, 205"], ["300, 410"]])
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+    report = run_sanity_check(flatten_table(table), table)
     payload = json.loads(report.to_json())
     assert set(payload) == {
         "violations",
@@ -459,7 +459,7 @@ def test_report_serializes_with_stable_fields():
 
 def test_max_column_badness_prose_variant():
     table = table_of([["a", "102, 205"], ["b", "300, 410"]])
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+    report = run_sanity_check(flatten_table(table), table)
     assert report.max_column_badness == 1.0  # every cell of column 1 flagged
     assert report.badness_score == pytest.approx(0.5)
 
@@ -505,7 +505,7 @@ def test_vacuous_bounds_disable_checks():
 def test_violation_location_shape_matches_rule(corrupted_corpus):
     for fx in corrupted_corpus:
         table = Table.from_rows(body=fx["rows"], header=fx["header"])
-        report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table)
+        report = run_sanity_check(flatten_table(table), table)
         for v in report.violations:
             if v.rule is Rule.EMPTY_ROW:
                 assert v.row is not None and v.col is None

@@ -9,7 +9,7 @@ import random
 
 import reference_checker
 from tablex.checker import EntityType, default_entity_patterns, run_sanity_check
-from tablex.model import FlattenStyle, SourceText, Table, flatten_table
+from tablex.model import SourceText, Table, flatten_table
 
 THRESHOLDS = (0.5, 0.8, 1.0)
 RANDOM_TABLES = 5000
@@ -61,7 +61,7 @@ def random_table(rng: random.Random) -> Table:
 def test_matches_reference_on_corpus_fixtures(corrupted_corpus):
     for fx in corrupted_corpus:
         table = Table.from_rows(body=fx["rows"], header=fx["header"])
-        assert_same_reports(flatten_table(table, FlattenStyle.OCR), table)
+        assert_same_reports(flatten_table(table), table)
 
 
 def test_matches_reference_on_balance_sheet(balance_sheet_source, balance_sheet_gold):
@@ -72,7 +72,7 @@ def test_matches_reference_on_random_tables():
     rng = random.Random(20240917)
     for index in range(RANDOM_TABLES):
         table = random_table(rng)
-        source = flatten_table(table, FlattenStyle.OCR)
+        source = flatten_table(table)
         if rng.random() < 0.3:
             source = SourceText(source.raw + " " + " ".join(rng.choice(VOCAB["word"]) for _ in range(3)))
         assert_same_reports(source, table, PATTERN_SETS[index % len(PATTERN_SETS)])

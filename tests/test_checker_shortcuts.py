@@ -17,7 +17,7 @@ import pytest
 
 import reference_checker
 from tablex.checker import EntityType, run_sanity_check
-from tablex.model import FlattenStyle, SourceText, Table, flatten_table
+from tablex.model import SourceText, Table, flatten_table
 
 DIGITS_WORDS = (EntityType("digits", r"\d+"), EntityType("word", r"[A-Za-z]+"))
 # a set whose "number" pattern matches words, so a single word is numeric
@@ -25,7 +25,7 @@ LETTER_NUMBERS = (EntityType("number", r"[a-z]+"), EntityType("code", r"[A-Z]\d"
 
 
 def assert_same_report(table: Table, patterns, threshold: float, source: SourceText | None = None) -> str:
-    source = source or flatten_table(table, FlattenStyle.OCR)
+    source = source or flatten_table(table)
     got = run_sanity_check(source, table, patterns, threshold).to_json()
     want = reference_checker.run_sanity_check(source, table, patterns, threshold).to_json()
     assert got == want, (table, patterns, threshold)
@@ -55,7 +55,7 @@ def test_column_at_and_below_threshold(threshold, n, below):
 
 def test_exact_threshold_column_is_typed():
     table = column_table(4, {0})  # the miss comes first
-    report = run_sanity_check(flatten_table(table, FlattenStyle.OCR), table, DIGITS_WORDS, 0.75)
+    report = run_sanity_check(flatten_table(table), table, DIGITS_WORDS, 0.75)
     assert [v.detail for v in report.violations] == ["column 0 reads as digits but mismatches row 0: 'zeta'"]
     assert_same_report(table, DIGITS_WORDS, 0.75)
 

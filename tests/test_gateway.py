@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 
@@ -25,7 +26,6 @@ from tablex.gateway import (
     build_backend,
     render_prompt,
     request_fingerprint,
-    template_checksum,
     template_text,
 )
 
@@ -50,7 +50,7 @@ TEMPLATE_CHECKSUMS = {
 
 def test_template_checksums_frozen():
     for kind, digest in TEMPLATE_CHECKSUMS.items():
-        assert template_checksum(kind) == digest, kind
+        assert hashlib.sha256(template_text(kind).encode("utf-8")).hexdigest() == digest, kind
 
 
 def test_render_structural_decomposition():

@@ -16,7 +16,7 @@ from tablex.metrics import (
     table_node_count,
     tree_edit_distance,
 )
-from tablex.model import FlattenStyle, Table, flatten_table
+from tablex.model import Table, flatten_table
 
 from ted_oracle import tree_edit_distance_bruteforce
 
@@ -208,7 +208,7 @@ def test_cvm_includes_header_cells():
 
 
 def test_evaluate_perfect():
-    source = flatten_table(GOLD_3X3, FlattenStyle.OCR)
+    source = flatten_table(GOLD_3X3)
     report = evaluate(GOLD_3X3, GOLD_3X3, source)
     assert (report.em, report.ted, report.cvm, report.colvm) == (1, 0.0, 100.0, 100.0)
     assert report.coverage == 1.0 and report.hallucination == 0.0
@@ -221,7 +221,7 @@ def test_evaluate_empty_pred():
 
 
 def test_evaluate_one_wrong_cell_in_3x3():
-    report = evaluate(PRED_ONE_WRONG, GOLD_3X3, flatten_table(GOLD_3X3, FlattenStyle.OCR))
+    report = evaluate(PRED_ONE_WRONG, GOLD_3X3, flatten_table(GOLD_3X3))
     assert report.em == 0
     assert report.ted == pytest.approx(1 / 13)
     assert report.cvm == pytest.approx(8 / 9 * 100)

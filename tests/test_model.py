@@ -12,7 +12,6 @@ from tablex.checker import compute_coverage
 from tablex.errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, TablexError
 from tablex.model import (
     ExtractionResult,
-    FlattenStyle,
     PartialTable,
     SourceText,
     Table,
@@ -400,17 +399,17 @@ def test_serialize_roundtrip_listing(listing_json):
 
 def test_flatten_ocr_joins():
     table = Table.from_rows(body=[["a", "b"], ["c", "d"]])
-    assert flatten_table(table, FlattenStyle.OCR).raw == "a b\r\nc d"
+    assert flatten_table(table).raw == "a b\r\nc d"
 
 
 def test_flatten_csv_joins():
     table = Table.from_rows(body=[["a", "b"], ["c", "d"]])
-    assert flatten_table(table, FlattenStyle.CSV).raw == "a,b\r\nc,d"
+    assert serialize_csv(table) == "a,b\r\nc,d"
 
 
 def test_flatten_ocr_skips_empty_cells():
     table = Table.from_rows(body=[["label", "", ""], ["x", "1", "2"]])
-    assert flatten_table(table, FlattenStyle.OCR).raw == "label\r\nx 1 2"
+    assert flatten_table(table).raw == "label\r\nx 1 2"
 
 
 def test_flatten_balance_sheet_excerpt(balance_sheet_gold):
@@ -418,7 +417,7 @@ def test_flatten_balance_sheet_excerpt(balance_sheet_gold):
         header=[[c.text for c in row] for row in balance_sheet_gold.header_rows],
         body=[[c.text for c in row] for row in balance_sheet_gold.body_rows[:3]],
     )
-    assert flatten_table(excerpt, FlattenStyle.OCR).raw == (
+    assert flatten_table(excerpt).raw == (
         "Particulars Note As at As at\r\n"
         "No. March 31,2024 March 31,2023\r\n"
         "A ASSETS\r\n"
@@ -428,7 +427,7 @@ def test_flatten_balance_sheet_excerpt(balance_sheet_gold):
 
 
 def test_flatten_balance_sheet_matches_input(balance_sheet_gold, balance_sheet_source):
-    assert flatten_table(balance_sheet_gold, FlattenStyle.OCR).raw == balance_sheet_source.raw
+    assert flatten_table(balance_sheet_gold).raw == balance_sheet_source.raw
 
 
 def test_csv_roundtrip_with_quoting():
@@ -479,7 +478,7 @@ def test_property_normalize_idempotent(table):
 @given(tables())
 def test_property_flatten_charset(table):
     allowed = set("".join(c.text for c in table.cells())) | set(" \r\n")
-    assert set(flatten_table(table, FlattenStyle.OCR).raw) <= allowed
+    assert set(flatten_table(table).raw) <= allowed
 
 
 @settings(max_examples=100, deadline=None)

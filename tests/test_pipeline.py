@@ -15,7 +15,7 @@ from tablex.gateway import (
     TranscriptStore,
     render_prompt,
 )
-from tablex.model import FlattenStyle, SourceText, Table, flatten_table, serialize_html
+from tablex.model import SourceText, Table, flatten_table, serialize_html
 from tablex.pipeline import (
     PipelineConfig,
     findings_as_bullets,
@@ -58,7 +58,7 @@ FIXED_TABLE = Table.from_rows(
 
 def test_converges_first_iteration():
     table = Table.from_rows(header=[["A", "B"]], body=[["alpha", "1"], ["beta", "2"]])
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     generator = ScriptedBackend([envelope(table)])
     critic = ScriptedBackend([])
     result = run_ten(source, config_for(generator, critic))
@@ -195,7 +195,7 @@ def test_replay_run_is_deterministic(tmp_path):
     config = BackendConfig(model_id="replay-model")
     store = TranscriptStore(tmp_path)
     table = Table.from_rows(header=[["A", "B"]], body=[["alpha", "1"], ["beta", "2"]])
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     prompt = render_prompt(PromptKind.STRUCTURAL_DECOMPOSITION, {"Input Text": source.raw})
     store.put(prompt, envelope(table), config)
 
@@ -213,7 +213,7 @@ def test_replay_run_is_deterministic(tmp_path):
 
 def test_critique_no_findings_marker():
     table = Table.from_rows(body=[["alpha", "1"]])
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     report = run_sanity_check(source, table)
     assert report.violations == ()
     critic = ScriptedBackend(["looks fine"])
@@ -226,7 +226,7 @@ def test_critique_prompt_names_rules():
     table = Table.from_rows(
         body=[["1", "a"], ["2", "b"], ["oops", "102, 205"], ["4", "c"], ["5", "d"]]
     )
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     report = run_sanity_check(source, table)
     kinds = {v.rule for v in report.violations}
     assert {Rule.INCONSISTENT_COLUMN, Rule.MERGED_CELL} <= kinds
@@ -243,7 +243,7 @@ def test_critique_replay_returns_fixture_bytes(tmp_path):
         header=[["Region", "FY21", "FY22"]],
         body=[["North", "102, 205", ""], ["South", "87", "93"], ["Total", "189, 298", ""]],
     )
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     report = run_sanity_check(source, table)
     prompt = render_prompt(
         PromptKind.CRITIQUE,
@@ -330,7 +330,7 @@ def test_every_scalar_config_field_is_checked(cls):
 
 def test_trace_serialization_shape():
     table = Table.from_rows(header=[["A", "B"]], body=[["alpha", "1"], ["beta", "2"]])
-    source = flatten_table(table, FlattenStyle.OCR)
+    source = flatten_table(table)
     result = run_ten(source, config_for(ScriptedBackend([envelope(table)]), ScriptedBackend([])))
     payload = json.loads(result.to_json(task_id="t1"))
     assert payload["task_id"] == "t1"
