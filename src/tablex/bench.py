@@ -28,7 +28,6 @@ from .model import (
     parse_csv_table,
     parse_html_table,
     serialize_csv,
-    serialize_html,
 )
 from .pipeline import PipelineConfig, PipelineResult, run_ten
 
@@ -250,6 +249,10 @@ def write_task_outputs(outcomes: list[TaskOutcome], directory: str | Path) -> No
             continue
         # appended, not with_suffix: tasks "t.1" and "t.2" must not both write "t.html"
         base = str(directory / outcome.task_id)
-        Path(base + ".trace.json").write_text(outcome.result.to_json(task_id=outcome.task_id), encoding="utf-8")
-        Path(base + ".html").write_text(serialize_html(outcome.result.final), encoding="utf-8")
+        payload = outcome.result.to_dict(task_id=outcome.task_id)
+        final_html = payload["final_html"]  # rendered once, for the trace and the .html file
+        trace_json = json.dumps(payload, indent=2, sort_keys=True)  # PipelineResult.to_json's text
+        del payload  # freed before the writes, as to_json frees it
+        Path(base + ".trace.json").write_text(trace_json, encoding="utf-8")
+        Path(base + ".html").write_text(final_html, encoding="utf-8")
         Path(base + ".csv").write_text(serialize_csv(outcome.result.final), encoding="utf-8")

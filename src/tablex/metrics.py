@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Sequence
 
 from .checker import compute_coverage, compute_hallucination
@@ -36,6 +37,9 @@ def _norm(text: str) -> str:
 def _grid(table: Table) -> list[list[str]]:
     """All rows (header first) as normalized cell texts."""
     return [[_norm(cell.text) for cell in row] for row in table.rows]
+
+
+_Grids = tuple[list[list[str]], list[list[str]]]  # (_grid(pred), _grid(gold))
 
 
 def table_node_count(table: Table) -> int:
@@ -116,11 +120,12 @@ def _row_forest_distance(rows_a: Sequence[Sequence[str]], rows_b: Sequence[Seque
     return prev[-1]
 
 
-def tree_edit_distance(pred: Table, gold: Table) -> float:
+def tree_edit_distance(pred: Table, gold: Table, *, grids: _Grids | None = None) -> float:
     """Normalized ordered tree edit distance between two table trees.
 
     Unit insert/delete/relabel costs; normalized by the larger tree's node
     count, so the result lies in [0, 1] and is 0 exactly for identical grids.
+    ``grids`` is ``(_grid(pred), _grid(gold))`` when the caller has built them.
 
     Whole rows equal at the start of both grids, and then at the end, are
     stripped before the DP; this keeps the distance exact. The roots map to
@@ -133,7 +138,7 @@ def tree_edit_distance(pred: Table, gold: Table) -> float:
     The reverse inequality holds by adding the identity on A1 and B1. The
     last row follows by symmetry.
     """
-    rows_a, rows_b = _grid(pred), _grid(gold)
+    rows_a, rows_b = grids or (_grid(pred), _grid(gold))
     shorter, head, tail = min(len(rows_a), len(rows_b)), 0, 0
     while head < shorter and rows_a[head] == rows_b[head]:
         head += 1
@@ -157,10 +162,14 @@ def exact_match(pred: Table, gold: Table) -> int:
 def cell_value_match(pred: Table, gold: Table) -> float:
     """Percentage of gold cells whose normalized text is reproduced
     somewhere in the prediction (multiset intersection, position-free)."""
-    gold_cells = Counter(text for row in _grid(gold) for text in row)
+    return _cell_value_match(_grid(pred), _grid(gold))
+
+
+def _cell_value_match(rows_pred: list[list[str]], rows_gold: list[list[str]]) -> float:
+    gold_cells = Counter(chain.from_iterable(rows_gold))
     if not gold_cells:
-        return 100.0 if exact_match(pred, gold) else 0.0
-    matched = gold_cells & Counter(text for row in _grid(pred) for text in row)
+        return 100.0 if rows_pred == rows_gold else 0.0
+    matched = gold_cells & Counter(chain.from_iterable(rows_pred))
     return matched.total() / gold_cells.total() * 100.0
 
 
@@ -192,12 +201,14 @@ class MetricReport:
 
 
 def evaluate(pred: Table, gold: Table, source: SourceText | None = None) -> MetricReport:
-    """Score a prediction against its gold table (and source, if given)."""
-    em = exact_match(pred, gold)
+    """Score a prediction against its gold table (and source, if given);
+    each table's cells are normalized once, for EM, TED and CVM."""
+    grids = _grid(pred), _grid(gold)
+    em = int(grids[0] == grids[1])
     return MetricReport(
         em=em,
-        ted=0.0 if em else tree_edit_distance(pred, gold),
-        cvm=cell_value_match(pred, gold),
+        ted=0.0 if em else tree_edit_distance(pred, gold, grids=grids),
+        cvm=_cell_value_match(*grids),
         colvm=column_value_match(pred, gold),
         coverage=None if source is None else compute_coverage(source, pred),
         hallucination=None if source is None else compute_hallucination(source, pred),

@@ -38,10 +38,10 @@ class SourceText:
 
     @cached_property
     def alnum_count(self) -> int:
-        return sum(1 for ch in self.raw if ch.isalnum())
+        return sum(map(str.isalnum, self.raw))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One table cell anchored at grid position (row, col).
 
@@ -162,10 +162,13 @@ def normalize_rectangular(table: Table) -> Table:
 # ---------------------------------------------------------------------------
 
 _SPAN_LIMITS = {"rowspan": 65534, "colspan": 1000}  # HTML's maxima
-# A text run, a start tag or an end tag of the plain dialect; a bare ``<`` opens anything else.
+# A whole cell, a text run, a start tag or an end tag of the plain dialect;
+# a bare ``<`` opens anything else.
 _STRUCTURAL = "table|thead|tbody|tr|th|td"
+_ATTRS = '((?: [a-z]+="[^"&<>]*")*)'
 _DIALECT_TOKEN = re.compile(
-    rf'([^<]+)|<({_STRUCTURAL})((?: [a-z]+="[^"&<>]*")*)>|</({_STRUCTURAL})>|<', re.ASCII | re.IGNORECASE
+    rf"<(t[hd]){_ATTRS}>([^<]*)</t[hd]>|([^<]+)|<({_STRUCTURAL}){_ATTRS}>|</({_STRUCTURAL})>|<",
+    re.ASCII | re.IGNORECASE,
 )
 _DIALECT_ATTR = re.compile(r' ([a-z]+)="([^"]*)"', re.ASCII | re.IGNORECASE)
 
@@ -182,7 +185,9 @@ class _TableHtmlParser(HTMLParser):
     ``feed_dialect`` tokenizes the plain dialect that ``serialize_html``
     writes with one regex: text runs, and tags of the six structural names
     in any ASCII case whose attributes are ASCII-letter names, each after
-    one space, with double-quoted values free of ``"&<>``. It stops at any
+    one space, with double-quoted values free of ``"&<>``. A <th> or <td>
+    start tag, its text and a </th> or </td> end tag make one whole-cell
+    token, handled as the three events it stands for. It stops at any
     other markup, and the input then goes whole to a fresh parser's
     ``feed``. Both call the handlers below with the same events.
     """
@@ -232,8 +237,20 @@ class _TableHtmlParser(HTMLParser):
         """Feed all of ``html`` if it is in the plain dialect, and return
         True; return False at the first ``<`` that opens anything else,
         leaving this parser part-fed."""
-        for text, start, attrs, end in map(re.Match.groups, _DIALECT_TOKEN.finditer(html)):
-            if text is not None:
+        tokens = map(re.Match.groups, _DIALECT_TOKEN.finditer(html))
+        for cell, cell_attrs, cell_text, text, start, attrs, end in tokens:
+            if cell is not None:
+                if self.stage == "inside":  # start tag, data and end tag in one
+                    if self._cell is not None:
+                        self._flush_cell()
+                    if self._row is None:
+                        self._row = []
+                    rowspan = colspan = 1
+                    if cell_attrs:
+                        pairs = [(k.lower(), v) for k, v in _DIALECT_ATTR.findall(cell_attrs)]
+                        rowspan, colspan = self._span(pairs, "rowspan"), self._span(pairs, "colspan")
+                    self._row.append((htmllib.unescape(cell_text), rowspan, colspan))
+            elif text is not None:
                 self.handle_data(htmllib.unescape(text))  # as HTMLParser's convert_charrefs does
             elif start is not None:
                 self.handle_starttag(start.lower(), [(k.lower(), v) for k, v in _DIALECT_ATTR.findall(attrs)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .checker import ConvergenceThresholds, ValidationReport, is_converged, run_sanity_check
 from .errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, NoCandidateProduced
@@ -54,12 +55,13 @@ class IterationTrace:
     parse_failures: int = 0
     parse_errors: list[str] = field(default_factory=list)  # "ClassName: message" per failed parse
 
-    def to_dict(self) -> dict:
+    def to_dict(self, render_html: Callable[[Table], str]) -> dict:
+        """The trace as JSON-ready data, its candidate rendered by ``render_html``."""
         return {
             "index": self.index,
             "prompt_kind": self.prompt_kind.value,
             "raw_response": self.raw_response,
-            "candidate_html": None if self.candidate is None else serialize_html(self.candidate),
+            "candidate_html": None if self.candidate is None else render_html(self.candidate),
             "report": None if self.report is None else self.report.to_dict(),
             "critique": self.critique,
             "parse_failures": self.parse_failures,
@@ -79,11 +81,20 @@ class PipelineResult:
         return len(self.traces)
 
     def to_dict(self, task_id: str | None = None) -> dict:
+        """The run as JSON-ready data. Each distinct table is rendered once:
+        ``final`` is the very candidate object of the trace that produced it."""
+        rendered: dict[int, str] = {}  # id(table) -> HTML; every table stays alive meanwhile
+
+        def render(table: Table) -> str:
+            if id(table) not in rendered:
+                rendered[id(table)] = serialize_html(table)
+            return rendered[id(table)]
+
         payload = {
             "converged": self.converged,
             "iterations": self.iterations_used,
-            "final_html": serialize_html(self.final),
-            "traces": [trace.to_dict() for trace in self.traces],
+            "final_html": render(self.final),
+            "traces": [trace.to_dict(render) for trace in self.traces],
         }
         if task_id is not None:
             payload = {"task_id": task_id, **payload}

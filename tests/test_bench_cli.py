@@ -252,6 +252,10 @@ def test_write_task_outputs(tmp_path):
     html_table = parse_html_table((out / "t0.html").read_text())
     csv_table = parse_csv_table((out / "t0.csv").read_text())
     assert [c.text for c in html_table.body_rows[0]] == [c.text for c in csv_table.body_rows[0]]
+    # the .html file reuses the trace's render of the final table; both match their own writers
+    result = report.per_task[0].result
+    assert (out / "t0.trace.json").read_bytes() == result.to_json(task_id="t0").encode("utf-8")
+    assert (out / "t0.html").read_bytes() == serialize_html(result.final).encode("utf-8")
 
 
 def test_write_task_outputs_dotted_ids(tmp_path):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import tablex.metrics
 from tablex.bench import TaskOutcome
 from tablex.metrics import (
     MetricReport,
@@ -226,6 +227,23 @@ def test_evaluate_one_wrong_cell_in_3x3():
     assert report.ted == pytest.approx(1 / 13)
     assert report.cvm == pytest.approx(8 / 9 * 100)
     assert report.colvm == pytest.approx(200 / 3)
+
+
+def test_evaluate_normalizes_each_table_once(monkeypatch):
+    calls = []
+    real_grid = tablex.metrics._grid
+    monkeypatch.setattr(tablex.metrics, "_grid", lambda table: calls.append(table) or real_grid(table))
+    for pred, gold in ((PRED_ONE_WRONG, GOLD_3X3), (GOLD_3X3, GOLD_3X3), (table_of([]), GOLD_3X3)):
+        calls.clear()
+        report = evaluate(pred, gold)
+        assert calls == [pred, gold]
+        assert (report.em, report.ted, report.cvm, report.colvm) == (
+            exact_match(pred, gold),
+            tree_edit_distance(pred, gold),
+            cell_value_match(pred, gold),
+            column_value_match(pred, gold),
+        )
+    assert report.em == 0 and report.ted > 0
 
 
 def test_em_one_implies_other_identities():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from tablex.checker import compute_coverage
 from tablex.errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, TablexError
 from tablex.model import (
+    Cell,
     ExtractionResult,
     PartialTable,
     SourceText,
@@ -57,6 +59,27 @@ def test_source_text_views():
     assert compute_coverage(src, kept) == pytest.approx(len("Revenue750") / len("Revenue750Cost320next"))
     assert src.tokens == ("Revenue", "750,", "Cost:", "320", "next")
     assert all(not any(ch.isspace() for ch in tok) for tok in src.tokens)
+
+
+def test_alnum_count_counts_what_isalnum_counts():
+    for raw in ("", "café ² ٣ _ a\u3000b\r\nc", "x_1\u30002²\r\n٣é", "___ \r\n \u3000"):
+        assert SourceText(raw).alnum_count == sum(1 for ch in raw if ch.isalnum())
+    assert SourceText("é²٣_\u3000\r\n").alnum_count == 3
+
+
+# ---------------------------------------------------------------------------
+# Cell
+# ---------------------------------------------------------------------------
+
+
+def test_cell_is_slotted_frozen_and_hashable():
+    cell = Cell("a", 0, 1, 2, 1)
+    assert not hasattr(cell, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cell.text = "b"
+    twin = Cell("a", 0, 1, rowspan=2)
+    assert twin == cell and hash(twin) == hash(cell) and len({cell, twin}) == 1
+    assert Cell("a", 0, 1) != cell
 
 
 # ---------------------------------------------------------------------------

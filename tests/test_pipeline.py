@@ -6,6 +6,7 @@ import typing
 
 import pytest
 
+import tablex.pipeline
 from tablex.checker import ConvergenceThresholds, Rule, run_sanity_check
 from tablex.errors import NoCandidateProduced, TransportError
 from tablex.gateway import (
@@ -347,3 +348,17 @@ def test_trace_serialization_shape():
         "parse_failures",
         "parse_errors",
     }
+
+
+def test_trace_renders_each_table_once(monkeypatch):
+    generator = ScriptedBackend([envelope(MERGED_TABLE), envelope(FIXED_TABLE)])
+    result = run_ten(MERGED_SOURCE, config_for(generator, ScriptedBackend(["split the values"])))
+    first, last = (trace.candidate for trace in result.traces)
+    assert result.final is last
+    rendered = []
+    real_serialize = tablex.pipeline.serialize_html
+    monkeypatch.setattr(tablex.pipeline, "serialize_html", lambda t: rendered.append(t) or real_serialize(t))
+    payload = result.to_dict(task_id="t1")
+    assert sorted(map(id, rendered)) == sorted([id(first), id(last)])
+    assert payload["final_html"] == payload["traces"][1]["candidate_html"] == serialize_html(FIXED_TABLE)
+    assert payload["traces"][0]["candidate_html"] == serialize_html(MERGED_TABLE)
