@@ -47,10 +47,16 @@ class Task:
 class TaskOutcome:
     task_id: str
     metrics: MetricReport | None
-    iterations_used: int
-    converged: bool
     error: str | None = None
     result: PipelineResult | None = None
+
+    @property
+    def iterations_used(self) -> int:
+        return 0 if self.result is None else self.result.iterations_used
+
+    @property
+    def converged(self) -> bool:
+        return self.result is not None and self.result.converged
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +102,7 @@ def load_table(path: str | Path) -> Table:
     text = read_text(path)
     try:
         if Path(path).suffix.lower() == ".csv":
-            return parse_csv_table(text)
+            return parse_csv_table(text.removeprefix("\ufeff"))  # a byte-order mark is not header text
         return normalize_rectangular(parse_html_table(text))
     except (csv.Error, HtmlParseFailure) as exc:
         raise UnreadableFile(str(path), f"cannot parse table: {exc}") from exc
@@ -180,16 +186,10 @@ def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> TaskOut
             hallucination=result.report.hallucination_rate,
         )
     except TaskTimeout:
-        return TaskOutcome(task.id, None, 0, False, error="timeout")
+        return TaskOutcome(task.id, None, error="timeout")
     except Exception as exc:
-        return TaskOutcome(task.id, None, 0, False, error=f"{type(exc).__name__}: {exc}")
-    return TaskOutcome(
-        task_id=task.id,
-        metrics=metrics,
-        iterations_used=result.iterations_used,
-        converged=result.converged,
-        result=result,
-    )
+        return TaskOutcome(task.id, None, error=f"{type(exc).__name__}: {exc}")
+    return TaskOutcome(task.id, metrics, result=result)
 
 
 def _mean(values: list[float]) -> float | None:

@@ -388,7 +388,6 @@ class PartialTable:
 @dataclass(frozen=True)
 class ExtractionResult:
     tables: tuple[PartialTable, ...]
-    row_delimiter: str | None = None
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\s*\n?(.*?)```", re.DOTALL)
@@ -430,6 +429,7 @@ def parse_extraction_json(text: str) -> ExtractionResult:
 
     Accepts both the dollar-quoted and bare spellings of the envelope keys,
     strips markdown code fences, and ignores prose around the JSON object.
+    Other keys, such as ``$row_delimiter$``, are ignored.
     """
     obj = _locate_json_object(text)
     if "tables" not in obj:
@@ -453,11 +453,7 @@ def parse_extraction_json(text: str) -> ExtractionResult:
         except HtmlParseFailure as exc:
             raise HtmlParseFailure(f"entry {index}: {exc}", entry_index=index) from exc
         tables.append(PartialTable(token, header, body))
-
-    delimiter = _entry_field(obj, "row_delimiter")
-    if delimiter is not None and not isinstance(delimiter, str):
-        delimiter = str(delimiter)
-    return ExtractionResult(tables=tuple(tables), row_delimiter=delimiter)
+    return ExtractionResult(tables=tuple(tables))
 
 
 def concat_partial_tables(result: ExtractionResult) -> Table:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .checker import ConvergenceThresholds, ValidationReport, is_converged, run_sanity_check
 from .errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, NoCandidateProduced
@@ -52,16 +51,18 @@ class IterationTrace:
     candidate: Table | None = None
     report: ValidationReport | None = None
     critique: str | None = None
-    parse_failures: int = 0
     parse_errors: list[str] = field(default_factory=list)  # "ClassName: message" per failed parse
 
-    def to_dict(self, render_html: Callable[[Table], str]) -> dict:
-        """The trace as JSON-ready data, its candidate rendered by ``render_html``."""
+    @property
+    def parse_failures(self) -> int:
+        return len(self.parse_errors)
+
+    def to_dict(self) -> dict:
         return {
             "index": self.index,
             "prompt_kind": self.prompt_kind.value,
             "raw_response": self.raw_response,
-            "candidate_html": None if self.candidate is None else render_html(self.candidate),
+            "candidate_html": None if self.candidate is None else serialize_html(self.candidate),
             "report": None if self.report is None else self.report.to_dict(),
             "critique": self.critique,
             "parse_failures": self.parse_failures,
@@ -71,33 +72,35 @@ class IterationTrace:
 
 @dataclass
 class PipelineResult:
-    final: Table
     traces: list[IterationTrace]
+    chosen: IterationTrace  # the checked trace whose candidate the run returns
     converged: bool
-    report: ValidationReport  # the checker's report on ``final``
+
+    @property
+    def final(self) -> Table:
+        return self.chosen.candidate
+
+    @property
+    def report(self) -> ValidationReport:
+        """The checker's report on ``final``."""
+        return self.chosen.report
 
     @property
     def iterations_used(self) -> int:
         return len(self.traces)
 
     def to_dict(self, task_id: str | None = None) -> dict:
-        """The run as JSON-ready data. Each distinct table is rendered once:
-        ``final`` is the very candidate object of the trace that produced it."""
-        rendered: dict[int, str] = {}  # id(table) -> HTML; every table stays alive meanwhile
-
-        def render(table: Table) -> str:
-            if id(table) not in rendered:
-                rendered[id(table)] = serialize_html(table)
-            return rendered[id(table)]
-
+        """The run as JSON-ready data; each trace's candidate is rendered once,
+        and ``final_html`` is the chosen trace's rendering."""
+        traces = [trace.to_dict() for trace in self.traces]
         payload = {
             "converged": self.converged,
             "iterations": self.iterations_used,
-            "final_html": render(self.final),
-            "traces": [trace.to_dict(render) for trace in self.traces],
+            "final_html": traces[self.traces.index(self.chosen)]["candidate_html"],
+            "traces": traces,
         }
         if task_id is not None:
-            payload = {"task_id": task_id, **payload}
+            payload["task_id"] = task_id
         return payload
 
     def to_json(self, task_id: str | None = None) -> str:
@@ -138,29 +141,20 @@ def request_critique(candidate: Table, report: ValidationReport, backend: Backen
     return backend.complete(prompt)
 
 
-def _try_parse(raw: str) -> Table | str:
-    """The table ``raw`` holds, or why it holds none as "ClassName: message"."""
-    try:
-        return concat_partial_tables(parse_extraction_json(raw))
-    except (MalformedJson, MissingTablesKey, HtmlParseFailure, EmptyExtraction) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _complete_and_parse(
-    backend: Backend, prompt: str, retry_budget: int
-) -> tuple[str, Table | None, list[str]]:
-    """Ask ``backend`` for ``prompt`` and parse the answer; on failure re-send
-    the same prompt up to ``retry_budget`` more times. Returns (last raw,
-    table or None, one reason per failed parse)."""
-    errors: list[str] = []
+def _generate(backend: Backend, prompt: str, retry_budget: int, index: int, kind: PromptKind) -> IterationTrace:
+    """Iteration ``index``'s trace: ask ``backend`` for ``prompt`` and parse the
+    answer; on failure re-send the same prompt up to ``retry_budget`` more
+    times. The trace keeps the last raw answer and one reason per failed parse."""
+    trace = IterationTrace(index=index, prompt_kind=kind, raw_response="")
     while True:
-        raw = backend.complete(prompt)
-        parsed = _try_parse(raw)
-        if isinstance(parsed, Table):
-            return raw, parsed, errors
-        errors.append(parsed)
-        if len(errors) > retry_budget:
-            return raw, None, errors
+        trace.raw_response = backend.complete(prompt)
+        try:
+            trace.candidate = concat_partial_tables(parse_extraction_json(trace.raw_response))
+            return trace
+        except (MalformedJson, MissingTablesKey, HtmlParseFailure, EmptyExtraction) as exc:
+            trace.parse_errors.append(f"{type(exc).__name__}: {exc}")
+        if trace.parse_failures > retry_budget:
+            return trace
 
 
 def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
@@ -170,11 +164,12 @@ def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
     later iterations render the regeneration prompt with the critique and
     candidate of the latest trace that holds one. The loop stops at
     convergence or after ``max_iterations``; the critic is only consulted
-    when another iteration will actually run.
+    when another iteration will actually run. On exhaustion the run returns
+    the checked candidate with the highest goodness - badness, the later one
+    on a tie, or the last checked one under ``keep_last_iteration``.
     """
     traces: list[IterationTrace] = []
     last: IterationTrace | None = None
-    best: IterationTrace | None = None
 
     for index in range(1, cfg.max_iterations + 1):
         if last is None:
@@ -186,30 +181,23 @@ def run_ten(source: SourceText, cfg: PipelineConfig) -> PipelineResult:
                 kind,
                 {"Critique": last.critique, "Original Table": table_as_rows_text(last.candidate)},
             )
-        raw, candidate, errors = _complete_and_parse(cfg.generator, prompt, cfg.parse_retry_limit)
-        trace = IterationTrace(
-            index=index, prompt_kind=kind, raw_response=raw, parse_failures=len(errors), parse_errors=errors
-        )
+        trace = _generate(cfg.generator, prompt, cfg.parse_retry_limit, index, kind)
         traces.append(trace)
-        if candidate is None:
+        if trace.candidate is None:
             continue
 
-        trace.candidate = candidate
-        trace.report = run_sanity_check(source, candidate)
+        trace.report = run_sanity_check(source, trace.candidate)
         last = trace
-        # ties go to the later trace
-        score = trace.report.goodness_score - trace.report.badness_score
-        if best is None or score >= best.report.goodness_score - best.report.badness_score:
-            best = trace
-
         if is_converged(trace.report, cfg.thresholds):
-            return PipelineResult(final=candidate, traces=traces, converged=True, report=trace.report)
+            return PipelineResult(traces, chosen=trace, converged=True)
         if index < cfg.max_iterations:
-            trace.critique = request_critique(candidate, trace.report, cfg.critic)
+            trace.critique = request_critique(trace.candidate, trace.report, cfg.critic)
 
     if last is None:
         raise NoCandidateProduced(
             f"no iteration produced a parseable table in {len(traces)} attempts"
         )
-    chosen = last if cfg.keep_last_iteration else best
-    return PipelineResult(final=chosen.candidate, traces=traces, converged=False, report=chosen.report)
+    # reversed: of equal scores, max keeps the first it sees, so the later trace wins
+    checked = [trace for trace in reversed(traces) if trace.report is not None]
+    best = max(checked, key=lambda trace: trace.report.goodness_score - trace.report.badness_score)
+    return PipelineResult(traces, chosen=last if cfg.keep_last_iteration else best, converged=False)

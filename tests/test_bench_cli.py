@@ -91,6 +91,19 @@ def test_ingest_paired_text_balance_sheet(tmp_path, balance_sheet_source, balanc
     assert tasks[0].source.raw.startswith("Particulars Note As at")
 
 
+def test_csv_byte_order_mark_is_not_header_text(tmp_path, capsys):
+    gold = simple_gold("alpha", "beta")
+    (tmp_path / "plain.csv").write_text(serialize_csv(gold), encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(serialize_csv(gold), encoding="utf-8-sig")
+    assert cli(["eval", str(tmp_path / "bom.csv"), str(tmp_path / "plain.csv")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["em"] == 1 and payload["ted"] == 0.0
+    (tmp_path / "plain.csv").unlink()
+    [task] = ingest_dataset(tmp_path, "csv")
+    assert task.gold == gold
+    assert task.source.raw == flatten_table(gold).raw
+
+
 def test_ingest_empty_dir(tmp_path):
     with pytest.raises(NoTasksFound):
         ingest_dataset(tmp_path, "csv")
@@ -199,6 +212,11 @@ def test_bench_isolates_replay_miss(tmp_path):
     assert len(failed) == 1 and failed[0].task_id == "zz-missing"
     assert "ReplayMiss" in failed[0].error
     assert all(o.metrics is not None for o in report.per_task if not o.error)
+    row = failed[0].to_dict()
+    assert (row["iterations_used"], row["converged"], row["metrics"]) == (0, False, None)
+    out = tmp_path / "outputs"
+    write_task_outputs(report.per_task, out)
+    assert len(list(out.iterdir())) == 12 and not list(out.glob("zz-missing*"))
 
 
 def test_bench_isolates_corrupt_transcript(tmp_path):

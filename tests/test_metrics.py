@@ -258,7 +258,7 @@ def test_report_serialization():
     report = MetricReport(em=1, ted=0.0, cvm=100.0, colvm=100.0, coverage=0.5, hallucination=0.25)
     payload = json.loads(report.to_json())
     assert payload["em"] == 1 and payload["coverage"] == 0.5
-    row = TaskOutcome("task-1", report, 1, True).to_dict()
+    row = TaskOutcome("task-1", report).to_dict()
     assert row["task_id"] == "task-1"
     assert len(row["metrics"]) == 6  # beside the task id
 

@@ -98,13 +98,11 @@ def test_parse_extraction_listing(listing_json):
     header = spec_texts(first.header)
     assert len(header) == 1 and len(header[0]) == 5
     assert header[0][0] == "GO Category"
-    assert result.row_delimiter is None
 
 
 def test_parse_extraction_empty():
     result = parse_extraction_json('{"tables": []}')
     assert result.tables == ()
-    assert result.row_delimiter is None
 
 
 def test_parse_extraction_truncated_is_malformed(listing_json):
@@ -122,7 +120,6 @@ def test_parse_extraction_fenced_and_prose():
     result = parse_extraction_json(wrapped)
     assert len(result.tables) == 1
     assert result.tables[0].starting_token is None
-    assert result.row_delimiter == "\\r\\n"
 
 
 def test_parse_extraction_prose_without_fence(listing_json):

@@ -7,6 +7,7 @@ import typing
 import pytest
 
 import tablex.pipeline
+from tablex.bench import TaskOutcome, write_task_outputs
 from tablex.checker import ConvergenceThresholds, Rule, run_sanity_check
 from tablex.errors import NoCandidateProduced, TransportError
 from tablex.gateway import (
@@ -16,7 +17,7 @@ from tablex.gateway import (
     TranscriptStore,
     render_prompt,
 )
-from tablex.model import SourceText, Table, flatten_table, serialize_html
+from tablex.model import SourceText, Table, flatten_table, serialize_csv, serialize_html
 from tablex.pipeline import (
     PipelineConfig,
     findings_as_bullets,
@@ -148,6 +149,33 @@ def test_best_so_far_vs_last_iteration():
     )
     assert last.final == weak
     assert last.report == run_sanity_check(source, last.final)
+
+
+def test_chosen_trace_need_not_be_the_last(tmp_path):
+    """A strong candidate, an unparseable answer, then a weak candidate: the
+    first trace's table is the result, in the trace and in bench's outputs."""
+    source = SourceText("alpha beta gamma delta epsilon zeta eta theta 1 2")
+    strong = Table.from_rows(body=[["alpha", "1"], ["beta", "2"]])
+    weak = Table.from_rows(body=[["alpha", "102, 205"], ["beta", "300, 410"]])
+    responses = [envelope(strong), "not json", envelope(weak)]
+
+    def run(**kwargs):
+        cfg = config_for(
+            ScriptedBackend(responses), ScriptedBackend(["fix"]), max_iterations=3, parse_retry_limit=0, **kwargs
+        )
+        return run_ten(source, cfg)
+
+    best = run()
+    payload = best.to_dict()
+    assert [trace["candidate_html"] is None for trace in payload["traces"]] == [False, True, False]
+    assert best.chosen is best.traces[0] and best.final == strong
+    assert payload["final_html"] == payload["traces"][0]["candidate_html"] == serialize_html(strong)
+    write_task_outputs([TaskOutcome("t", None, result=best)], tmp_path)
+    assert (tmp_path / "t.html").read_bytes().decode("utf-8") == payload["final_html"]
+    assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == serialize_csv(strong)
+
+    last = run(keep_last_iteration=True).to_dict()
+    assert last["final_html"] == last["traces"][2]["candidate_html"] == serialize_html(weak)
 
 
 def test_no_candidate_produced():
