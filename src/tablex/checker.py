@@ -17,10 +17,12 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -32,6 +34,7 @@ DEFAULT_CONSISTENCY_THRESHOLD = 0.8
 _BRACKET_PAIRS = {")": "(", "]": "[", "}": "{"}
 _OPENERS = set(_BRACKET_PAIRS.values())
 _DANGLING_RE = re.compile(r"\d[,.]$")
+_DANGLING_JOINED_RE = re.compile(r"\d[,.]\x00")  # ``_DANGLING_RE`` on a row's "\x00"-joined cells
 _BRACKET_RE = re.compile(r"[()\[\]{}]")
 
 
@@ -147,17 +150,8 @@ class ValidationReport:
     max_column_badness: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "violations": [v.to_dict() for v in self.violations],
-            "coverage": self.coverage,
-            "hallucination_rate": self.hallucination_rate,
-            "goodness_score": self.goodness_score,
-            "badness_score": self.badness_score,
-            "consistent_cells": self.consistent_cells,
-            "violating_cells": self.violating_cells,
-            "total_cells": self.total_cells,
-            "max_column_badness": self.max_column_badness,
-        }
+        scores = {field.name: getattr(self, field.name) for field in fields(self)}
+        return {**scores, "violations": [v.to_dict() for v in self.violations]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -173,7 +167,7 @@ def check_column(
     col: int,
     patterns: Sequence[EntityType] | None = None,
     threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
-) -> tuple[EntityType | None, list[Violation], set[tuple[int, int]], set[tuple[int, int]]]:
+) -> tuple[EntityType | None, list[Violation], int, list[int]]:
     """Type one body column and judge its cells from the same matches.
 
     The column's entity type is the first of ``patterns`` (their order is
@@ -181,8 +175,8 @@ def check_column(
     non-empty cells; it flags the non-empty cells it does not match. An
     untyped column flags the non-empty cells off the signature that at
     least ``threshold`` of them share, and judges nothing when no signature
-    is that common. Returns the entity type, the violations and the
-    consistent and violating (row, col) positions.
+    is that common. Returns the entity type, its violations, how many cells
+    fit, and the rows of the non-empty cells that do not (or are unjudged).
 
     A pattern stops being matched at the miss that puts the threshold out
     of its reach, so a losing pattern costs one match per cell only up to
@@ -192,7 +186,7 @@ def check_column(
         patterns = default_entity_patterns()
     present = [(r, text) for r, text in enumerate(texts) if text.strip()]
     if not present:
-        return None, [], set(), set()
+        return None, [], 0, []
     n = len(present)
     for entity in patterns:
         fits, misses = [], 0
@@ -213,18 +207,15 @@ def check_column(
         signatures = [Signature.of_text(text) for _, text in present]
         common, count = Counter(signatures).most_common(1)[0]
         if count / len(present) < threshold:
-            return None, [], set(), set()
+            return None, [], 0, [r for r, _ in present]
         fits = [sig == common for sig in signatures]
         claim = "signature outliers"
-    consistent = {(r, col) for (r, _), fit in zip(present, fits) if fit}
     outliers = [(r, text) for (r, text), fit in zip(present, fits) if not fit]
     if not outliers:
-        return entity, [], consistent, set()
+        return entity, [], n, []
     where = "; ".join(f"row {r}: {text!r}" for r, text in outliers)
-    violation = Violation(
-        Rule.INCONSISTENT_COLUMN, row=None, col=col, detail=f"column {col} {claim} {where}"
-    )
-    return entity, [violation], consistent, {(r, col) for r, _ in outliers}
+    violation = Violation(Rule.INCONSISTENT_COLUMN, row=None, col=col, detail=f"column {col} {claim} {where}")
+    return entity, [violation], n - len(outliers), [r for r, _ in outliers]
 
 
 def _has_unbalanced_brackets(text: str) -> bool:
@@ -247,7 +238,7 @@ def _has_unbalanced_brackets(text: str) -> bool:
 
 
 def _alnum_len(text: str) -> int:
-    return sum(1 for ch in text if ch.isalnum())
+    return sum(map(str.isalnum, text))
 
 
 def compute_coverage(source: SourceText, table: Table) -> float:
@@ -257,7 +248,7 @@ def compute_coverage(source: SourceText, table: Table) -> float:
     total = source.alnum_count
     if total == 0:
         return 1.0
-    table_tokens = Counter(tok for cell in table.cells() for tok in cell.text.split())
+    table_tokens = Counter(chain.from_iterable(map(str.split, map(attrgetter("text"), table.cells()))))
     missing = Counter(source.tokens) - table_tokens
     uncovered = sum(count * _alnum_len(tok) for tok, count in missing.items())
     return 1.0 - uncovered / total
@@ -271,21 +262,22 @@ def compute_hallucination(source: SourceText, table: Table) -> float:
     of the source scores 1, partial matches included; a cell without
     alphanumerics counts as covered. A token holds no whitespace, so it
     occurs in the raw source exactly when it occurs in one source token.
-    A token equal to a source token is answered from their set, and each
-    other distinct token scans the raw source once per call: the cost is
-    linear in the source and the table, plus O(|source|) per such token.
     Only a cell with a token not found is weighed: one whose tokens are all
-    found scores 0 whatever its alphanumerics, so they go uncounted.
+    found scores 0 whatever its alphanumerics, and so does a row whose
+    tokens are all source tokens, which one set test of the row finds.
+    Each other distinct token scans the raw source once per call: the cost
+    is linear in the source and the table, plus O(|source|) per such token.
     """
     rows = table.body_rows
     if not rows:
         return 0.0
-    in_source = dict.fromkeys(source.tokens, True)
+    in_source = set(source.tokens)
+    scanned: dict[str, bool] = {}  # whether the raw source holds a token outside ``in_source``
 
     def found(tok: str) -> bool:
-        hit = in_source.get(tok)
+        hit = tok in in_source or scanned.get(tok)
         if hit is None:
-            hit = in_source[tok] = tok in source.raw
+            hit = scanned[tok] = tok in source.raw
         return hit
 
     def uncovered(text: str) -> float:
@@ -301,7 +293,7 @@ def compute_hallucination(source: SourceText, table: Table) -> float:
 
     total = 0.0
     for row in rows:
-        if not row:
+        if not row or in_source.issuperset(" ".join(cell.text for cell in row).split()):
             continue
         total += sum(uncovered(cell.text) for cell in row) / len(row)
     return total / len(rows)
@@ -324,26 +316,28 @@ def run_sanity_check(
     (``check_column``). The row pass then applies the empty-row,
     merged-cell, bracket and split-number rules, stripping each cell once;
     the merged-cell rule reads which columns the column pass typed as
-    numbers. Violations are reported in ``Rule`` order, each rule's in row
-    order.
-
-    A cell flagged by several rules counts once toward ``violating_cells``;
-    empty cells count as consistent (they are structural padding) unless
-    they sit in a flagged empty row. The consistent and violating cell sets
-    are disjoint by construction.
+    numbers, and the bracket and split rules test a cell only when its
+    row's joined text has a hit. Violations are reported in ``Rule`` order,
+    each rule's in row order. A cell flagged by several rules counts once
+    toward ``violating_cells``; the consistent cells, counted, not
+    collected, are those that fit their column and the empty ones
+    (structural padding), less those that violate a rule.
     """
     if patterns is None:
         patterns = default_entity_patterns()
     number = next((e for e in patterns if e.kind == "number"), None)
     found: dict[Rule, list[Violation]] = {rule: [] for rule in Rule}
     number_columns: set[int] = set()
-    consistent: set[tuple[int, int]] = set()
+    fits = empties = 0
+    unfit: set[tuple[int, int]] = set()
     violating: set[tuple[int, int]] = set()
     for col, texts in enumerate(table.body_columns()):
-        entity, flagged, good, bad = check_column(texts, col, patterns, threshold)
+        entity, flagged, fit_count, unfit_rows = check_column(texts, col, patterns, threshold)
         found[Rule.INCONSISTENT_COLUMN] += flagged
-        consistent |= good
-        violating |= bad
+        fits += fit_count
+        unfit.update((r, col) for r in unfit_rows)
+        if flagged:
+            violating.update((r, col) for r in unfit_rows)
         if entity is not None and entity.kind == "number":
             number_columns.add(col)
 
@@ -355,51 +349,54 @@ def run_sanity_check(
     body = table.body_rows
     for r, row in enumerate(body):
         stripped = [cell.text.strip() for cell in row]
+        empties += stripped.count("")
         if row and not any(stripped):
             flag(Rule.EMPTY_ROW, r, None, f"body row {r} is blank")
-            violating |= {(r, cell.col) for cell in row}
+            violating.update((r, cell.col) for cell in row)
+            continue
+        # a cell's own search hits only if the row's does; "\x00" ends
+        # every cell but the last, which has no right neighbour to split with
+        joined = "\x00".join(stripped)
+        brackets = _BRACKET_RE.search(joined) is not None
+        dangling = _DANGLING_JOINED_RE.search(joined) is not None
         for j, (cell, text) in enumerate(zip(row, stripped)):
             if not text:
-                consistent.add((r, cell.col))
                 continue
             # merged: several numeric tokens ("102, 205"), or a number and
-            # a word in a column that reads as numbers ("Revenue 750")
-            cores = [tok.strip(string.punctuation) for tok in text.split()]
-            labelled = cell.col in number_columns and any(core.isalpha() for core in cores)
-            numeric = 0  # one unlabelled token cannot fire the rule, whatever it matches
-            if number is not None and (len(cores) >= 2 or labelled):
-                numeric = sum(1 for core in cores if core and number.matches(core))
-            if numeric >= 2 or (numeric == 1 and labelled):
-                flag(Rule.MERGED_CELL, r, cell.col,
-                     f"cell {cell.text!r} holds {numeric} numeric tokens")
-            if _has_unbalanced_brackets(text):
-                flag(Rule.UNBALANCED_BRACKETS, r, cell.col,
-                     f"cell {cell.text!r} has unbalanced brackets")
+            # a word in a column that reads as numbers ("Revenue 750"); one
+            # unlabelled token cannot fire the rule, whatever it matches
+            tokens = text.split()
+            if number is not None and (len(tokens) >= 2 or cell.col in number_columns):
+                cores = [tok.strip(string.punctuation) for tok in tokens]
+                labelled = cell.col in number_columns and any(core.isalpha() for core in cores)
+                numeric = sum(1 for core in cores if core and number.matches(core)) if len(cores) >= 2 or labelled else 0
+                if numeric >= 2 or (numeric == 1 and labelled):
+                    flag(Rule.MERGED_CELL, r, cell.col, f"cell {cell.text!r} holds {numeric} numeric tokens")
+            if brackets and _has_unbalanced_brackets(text):
+                flag(Rule.UNBALANCED_BRACKETS, r, cell.col, f"cell {cell.text!r} has unbalanced brackets")
             # one number split over this cell and the next: a dangling
             # separator ("1,") or a short digit group before three digits
             if j + 1 < len(row):
                 right = stripped[j + 1]
                 fragmented = text.isdigit() and len(text) <= 3 and right.isdigit() and len(right) == 3
-                if fragmented or _DANGLING_RE.search(text) is not None:
-                    flag(Rule.DELIMITER_ERROR, r, cell.col,
-                         f"cells {text!r} | {right!r} look like a split number")
-    consistent -= violating
+                if fragmented or (dangling and _DANGLING_RE.search(text) is not None):
+                    flag(Rule.DELIMITER_ERROR, r, cell.col, f"cells {text!r} | {right!r} look like a split number")
 
-    column_sizes = Counter(cell.col for row in body for cell in row)
+    # every violating cell is empty, fits its column or is unfit
+    consistent = fits + empties - len(violating - unfit)
+    column_sizes = Counter(map(attrgetter("col"), chain.from_iterable(body)))
     column_bad = Counter(col for _, col in violating)
     total = sum(column_sizes.values())
     return ValidationReport(
         violations=tuple(v for hits in found.values() for v in hits),
         coverage=compute_coverage(source, table),
         hallucination_rate=compute_hallucination(source, table),
-        goodness_score=len(consistent) / total if total else 0.0,
+        goodness_score=consistent / total if total else 0.0,
         badness_score=len(violating) / total if total else 0.0,
-        consistent_cells=len(consistent),
+        consistent_cells=consistent,
         violating_cells=len(violating),
         total_cells=total,
-        max_column_badness=max(
-            (column_bad[col] / size for col, size in column_sizes.items()), default=0.0
-        ),
+        max_column_badness=max((column_bad[col] / size for col, size in column_sizes.items()), default=0.0),
     )
 
 

@@ -173,15 +173,25 @@ def _cell_value_match(rows_pred: list[list[str]], rows_gold: list[list[str]]) ->
     return matched.total() / gold_cells.total() * 100.0
 
 
-def column_value_match(pred: Table, gold: Table) -> float:
+def column_value_match(pred: Table, gold: Table, *, grids: _Grids | None = None) -> float:
     """Percentage of gold columns whose ordered, normalized body-cell
     sequence is reproduced by a prediction column (multiset intersection,
-    each prediction column matching once)."""
-    gold_columns = Counter(tuple(map(_norm, column)) for column in gold.body_columns())
-    pred_columns = Counter(tuple(map(_norm, column)) for column in pred.body_columns())
+    each prediction column matching once). ``grids`` is ``(_grid(pred),
+    _grid(gold))`` when the caller has built them."""
+    pred_columns, gold_columns = map(_body_columns, (pred, gold), grids or (_grid(pred), _grid(gold)))
     if not gold_columns:
         return 100.0 if not pred_columns else 0.0
     return (gold_columns & pred_columns).total() / gold_columns.total() * 100.0
+
+
+def _body_columns(table: Table, grid: list[list[str]]) -> Counter:
+    """The multiset of ``table.body_columns()`` normalized, read from the table's ``_grid``."""
+    columns = [[""] * len(table.body_rows) for _ in range(table.width)]
+    for r, (row, texts) in enumerate(zip(table.body_rows, grid[len(table.header_rows) :])):
+        for cell, text in zip(row, texts):
+            if cell.col < table.width:
+                columns[cell.col][r] = text
+    return Counter(map(tuple, columns))
 
 
 @dataclass(frozen=True)
@@ -202,14 +212,14 @@ class MetricReport:
 
 def evaluate(pred: Table, gold: Table, source: SourceText | None = None) -> MetricReport:
     """Score a prediction against its gold table (and source, if given);
-    each table's cells are normalized once, for EM, TED and CVM."""
+    each table's cells are normalized once, for all four gold metrics."""
     grids = _grid(pred), _grid(gold)
     em = int(grids[0] == grids[1])
     return MetricReport(
         em=em,
         ted=0.0 if em else tree_edit_distance(pred, gold, grids=grids),
         cvm=_cell_value_match(*grids),
-        colvm=column_value_match(pred, gold),
+        colvm=column_value_match(pred, gold, grids=grids),
         coverage=None if source is None else compute_coverage(source, pred),
         hallucination=None if source is None else compute_hallucination(source, pred),
     )

@@ -13,10 +13,10 @@ import html as htmllib
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from html.parser import HTMLParser
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey
 
@@ -41,13 +41,12 @@ class SourceText:
         return sum(map(str.isalnum, self.raw))
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(NamedTuple):
     """One table cell anchored at grid position (row, col).
 
     ``text`` is stored verbatim; trimming and whitespace collapsing happen
     only in explicit normalization steps downstream. ``row`` counts header
-    rows first, then body rows.
+    rows first, then body rows. A cell is a tuple of its five fields.
     """
 
     text: str
@@ -55,6 +54,9 @@ class Cell:
     col: int
     rowspan: int = 1
     colspan: int = 1
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _as_spec(value) -> tuple[str, int, int]:
@@ -76,14 +78,14 @@ def _place(header_specs: _Specs, body_specs: _Specs) -> "Table":
     is an ``HtmlParseFailure``, raised as soon as a row reaches that width."""
     all_specs = [*header_specs, *body_specs]
     spans: list[tuple[int, int, int]] = []
-    placed, width = [], 0
+    placed, width, new = [], 0, tuple.__new__  # skips Cell.__new__'s argument handling
     for r, row in enumerate(all_specs):
         spans = [span for span in spans if span[2] >= r]
         covered, i, col, cells = sorted(spans) + [_END], 0, 0, []
         for text, rowspan, colspan in row:
             while covered[i][0] <= col:
                 col, i = max(col, covered[i][1]), i + 1
-            cells.append(Cell(text, r, col, rowspan, colspan))
+            cells.append(new(Cell, (text, r, col, rowspan, colspan)))
             if rowspan > 1:
                 spans.append((col, col + colspan, r + rowspan - 1))
             col += colspan
@@ -429,7 +431,8 @@ def parse_extraction_json(text: str) -> ExtractionResult:
 
     Accepts both the dollar-quoted and bare spellings of the envelope keys,
     strips markdown code fences, and ignores prose around the JSON object.
-    Other keys, such as ``$row_delimiter$``, are ignored.
+    Other keys, such as ``$row_delimiter$``, are ignored. Text that UTF-8
+    cannot encode, such as a lone surrogate, is an ``HtmlParseFailure``.
     """
     obj = _locate_json_object(text)
     if "tables" not in obj:
@@ -449,8 +452,9 @@ def parse_extraction_json(text: str) -> ExtractionResult:
         if token is not None and not isinstance(token, str):
             token = str(token)
         try:
+            (html + (token or "")).encode("utf-8")  # a lone surrogate ("\ud800") cannot be written out
             header, body = _parse_specs(html)
-        except HtmlParseFailure as exc:
+        except (UnicodeEncodeError, HtmlParseFailure) as exc:
             raise HtmlParseFailure(f"entry {index}: {exc}", entry_index=index) from exc
         tables.append(PartialTable(token, header, body))
     return ExtractionResult(tables=tuple(tables))

@@ -485,6 +485,46 @@ def test_cli_bench_exit_one_on_task_failure(tmp_path):
     assert len(payload["per_task"]) == 5  # other tasks completed
 
 
+def surrogate_dataset(tmp_path):
+    """Two CSV tasks; the first one's recorded answer would converge, but its
+    JSON holds the escape "\\ud800", a lone surrogate no output can encode."""
+    data_dir, cache_dir = tmp_path / "data", tmp_path / "cache"
+    data_dir.mkdir()
+    for task_id, (a, b) in (("a-bad", ("alpha", "beta")), ("b-good", ("gamma", "delta"))):
+        gold = simple_gold(a, b)
+        (data_dir / f"{task_id}.csv").write_text(serialize_csv(gold) + "\r\n")
+        response = envelope(gold)
+        if task_id == "a-bad":
+            html = serialize_html(gold).replace("<th>Name</th>", "<th>Name \ud800</th>")
+            response = json.dumps({"tables": [{"$starting_token$": None, "$html_output$": html}]})
+            assert response.isascii()
+        record_generation(cache_dir, flatten_table(gold).raw, response)
+    return data_dir, cache_dir
+
+
+def test_cli_bench_lone_surrogate_answer_is_task_failure(tmp_path, capsys):
+    data_dir, cache_dir = surrogate_dataset(tmp_path)
+    report_path, out = tmp_path / "report.json", tmp_path / "outputs"
+    argv = ["bench", str(data_dir), "--format", "csv", "--replay", "--cache-dir", str(cache_dir),
+            "--model", MODEL, "--report", str(report_path), "--outputs", str(out)]  # fmt: skip
+    assert cli(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    per_task = {task["task_id"]: task for task in json.loads(report_path.read_text())["per_task"]}
+    assert per_task["a-bad"]["error"].startswith("NoCandidateProduced")
+    assert per_task["b-good"]["error"] is None
+    assert sorted(p.name for p in out.iterdir()) == ["b-good.csv", "b-good.html", "b-good.trace.json"]
+
+
+def test_cli_extract_lone_surrogate_answer_is_task_failure(tmp_path, capsys):
+    data_dir, cache_dir = surrogate_dataset(tmp_path)
+    (tmp_path / "input.txt").write_text(flatten_table(simple_gold("alpha", "beta")).raw)
+    argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    assert cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tablex: ") and captured.err.count("\n") == 1
+
+
 def test_cli_usage_errors_exit_two(capsys):
     assert cli(["frobnicate"]) == 2
     assert cli(["bench", "somewhere", "--report", "r.json"]) == 2  # missing --format

@@ -246,6 +246,19 @@ def test_evaluate_normalizes_each_table_once(monkeypatch):
     assert report.em == 0 and report.ted > 0
 
 
+def test_evaluate_normalizes_each_cell_once(monkeypatch):
+    # column value match reads the body columns from the grids EM, TED and
+    # CVM share, instead of normalizing the body cells again
+    calls = []
+    real_norm = tablex.metrics._norm
+    monkeypatch.setattr(tablex.metrics, "_norm", lambda text: calls.append(text) or real_norm(text))
+    gold = table_of(body=[[("a  b", 2, 1), "1"], ["2"], [" c", ("3", 1, 2)]], header=[["H", " K "]])
+    pred = table_of(body=[["a b", "1"], ["", "2"], ["c", "3"]], header=[["H", "K"]])
+    report = evaluate(pred, gold)
+    assert len(calls) == sum(1 for _ in pred.cells()) + sum(1 for _ in gold.cells())
+    assert report.colvm == column_value_match(pred, gold) == pytest.approx(200 / 3)
+
+
 def test_em_one_implies_other_identities():
     tables = [GOLD_3X3, table_of([["x"]]), Table()]
     for t in tables:

@@ -142,6 +142,25 @@ def test_parse_extraction_entry_failure_carries_index():
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        {"html_output": "<table><tr><td>a \ud800</td></tr></table>"},
+        {"html_output": "<table><tr><td>\udfff</td></tr></table>"},
+        {"html_output": MINIMAL, "starting_token": "b\ud800"},
+    ],
+    ids=["html-high", "html-low", "starting-token"],
+)
+def test_parse_extraction_lone_surrogate_fails(entry):
+    # json.loads turns the escape "\ud800" into a lone surrogate, which no output can encode
+    payload = json.dumps({"tables": [{"html_output": MINIMAL}, entry]})
+    assert "\\ud" in payload
+    with pytest.raises(HtmlParseFailure, match=r"^entry 1: 'utf-8' codec can't encode") as err:
+        parse_extraction_json(payload)
+    assert err.value.entry_index == 1
+    str(err.value).encode("utf-8")  # the message itself stays writable
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "[" * 100_000,
