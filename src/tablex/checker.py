@@ -16,15 +16,17 @@ from __future__ import annotations
 import json
 import re
 import string
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import chain
-from operator import attrgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, attrgetter, itemgetter, not_
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import check_fields
 from .model import SourceText, Table
@@ -36,6 +38,16 @@ _OPENERS = set(_BRACKET_PAIRS.values())
 _DANGLING_RE = re.compile(r"\d[,.]$")
 _DANGLING_JOINED_RE = re.compile(r"\d[,.]\x00")  # ``_DANGLING_RE`` on a row's "\x00"-joined cells
 _BRACKET_RE = re.compile(r"[()\[\]{}]")
+# What the row pass looks for in the "\x00"-joined body, with ``str.find``
+# (a regex character class scans many times slower): the brackets, the
+# separators that end a cell as ``_DANGLING_RE`` needs, and every character
+# for which ``str.isspace`` holds, which are those ``str.split`` splits on.
+_BRACKETS = tuple("()[]{}")
+_DANGLING = (",\x00", ".\x00")
+_SPACES = tuple(
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 class Rule(Enum):
@@ -99,10 +111,10 @@ class Signature:
     @classmethod
     def of_text(cls, text: str) -> "Signature":
         return cls(
-            has_digits=any(ch.isdigit() for ch in text),
-            has_letters=any(ch.isalpha() for ch in text),
+            has_digits=any(map(str.isdigit, text)),
+            has_letters=any(map(str.isalpha, text)),
             has_punct=any(not ch.isalnum() and not ch.isspace() for ch in text),
-            has_whitespace=any(ch.isspace() for ch in text),
+            has_whitespace=any(map(str.isspace, text)),
         )
 
 
@@ -178,44 +190,56 @@ def check_column(
     is that common. Returns the entity type, its violations, how many cells
     fit, and the rows of the non-empty cells that do not (or are unjudged).
 
-    A pattern stops being matched at the miss that puts the threshold out
-    of its reach, so a losing pattern costs one match per cell only up to
-    that miss; the winning pattern matches every non-empty cell once.
+    Each distinct stripped text is matched once per pattern, and a miss
+    counts as many cells as hold that text. A pattern stops being matched
+    at the miss that puts the threshold out of its reach, so a losing
+    pattern costs one match per distinct text only up to that miss. A
+    signature is taken once per distinct raw text, since its whitespace
+    flag reads the text's surrounding whitespace. Only a column with
+    outliers walks its cells again, to list their rows.
     """
     if patterns is None:
         patterns = default_entity_patterns()
-    present = [(r, text) for r, text in enumerate(texts) if text.strip()]
-    if not present:
+    stripped = list(map(str.strip, texts))
+    counts = Counter(stripped)
+    n = len(stripped) - counts.pop("", 0)
+    if not n:
         return None, [], 0, []
-    n = len(present)
     for entity in patterns:
-        fits, misses = [], 0
-        for _, text in present:
-            fit = entity.matches(text)
-            fits.append(fit)
-            # the final share k / n is monotone in k, so once even all the
-            # cells left cannot lift it to the threshold the pattern is out
-            if not fit:
-                misses += 1
+        missed, misses = set(), 0
+        for text, k in counts.items():
+            if not entity.matches(text):
+                missed.add(text)
+                misses += k
+                # the final share is monotone in the misses, so once even
+                # all the texts left cannot lift it the pattern is out
                 if (n - misses) / n < threshold:
                     break
         if (n - misses) / n >= threshold:
             claim = f"reads as {entity.kind} but mismatches"
+            keys = stripped
             break
     else:
         entity = None
-        signatures = [Signature.of_text(text) for _, text in present]
-        common, count = Counter(signatures).most_common(1)[0]
-        if count / len(present) < threshold:
-            return None, [], 0, [r for r, _ in present]
-        fits = [sig == common for sig in signatures]
+        raw = counts if stripped == texts else Counter(compress(texts, stripped))
+        signatures: dict[str, Signature] = {}
+        shares: dict[Signature, int] = {}
+        for text, k in raw.items():
+            signatures[text] = sig = Signature.of_text(text)
+            shares[sig] = shares.get(sig, 0) + k
+        common, share = max(shares.items(), key=itemgetter(1))  # the first of the most common
+        if share / n < threshold:
+            return None, [], 0, list(compress(count(), stripped))
+        missed = {text for text, sig in signatures.items() if sig != common}
+        misses = n - share
         claim = "signature outliers"
-    outliers = [(r, text) for (r, text), fit in zip(present, fits) if not fit]
-    if not outliers:
+        keys = texts
+    if not missed:
         return entity, [], n, []
-    where = "; ".join(f"row {r}: {text!r}" for r, text in outliers)
+    rows = list(compress(count(), map(missed.__contains__, keys)))
+    where = "; ".join(f"row {r}: {texts[r]!r}" for r in rows)
     violation = Violation(Rule.INCONSISTENT_COLUMN, row=None, col=col, detail=f"column {col} {claim} {where}")
-    return entity, [violation], n - len(outliers), [r for r, _ in outliers]
+    return entity, [violation], n - misses, rows
 
 
 def _has_unbalanced_brackets(text: str) -> bool:
@@ -230,6 +254,23 @@ def _has_unbalanced_brackets(text: str) -> bool:
             if not stack or stack.pop() != _BRACKET_PAIRS[ch]:
                 return True
     return bool(stack)
+
+
+def _cells_holding(texts: Sequence[str], joined: str, needles: Iterable[str]) -> set[int]:
+    """Indices of the ``texts`` in whose span of ``joined``, their
+    "\x00"-join, one of ``needles`` starts: one ``str.find`` per such text
+    and needle, so the cost in Python grows with the hits only."""
+    cells: set[int] = set()
+    ends = None
+    for needle in needles:
+        at = joined.find(needle)
+        while at >= 0:
+            if ends is None:  # where each text's "\x00" sits
+                ends = array("q", map(add, accumulate(map(len, texts)), count()))
+            i = bisect_left(ends, at)
+            cells.add(i)
+            at = joined.find(needle, ends[i] + 1)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +289,18 @@ def compute_coverage(source: SourceText, table: Table) -> float:
     total = source.alnum_count
     if total == 0:
         return 1.0
-    table_tokens = Counter(chain.from_iterable(map(str.split, map(attrgetter("text"), table.cells()))))
-    missing = Counter(source.tokens) - table_tokens
+    texts = list(map(attrgetter("text"), chain.from_iterable(table.rows)))
+    # a text without whitespace is one token (none if empty), so only the
+    # others are split; the counts left under them and under "" never meet
+    # a source token, which is neither empty nor holds whitespace
+    table_tokens = Counter(texts)
+    for i in _cells_holding(texts, "\x00".join(texts), _SPACES):
+        table_tokens[texts[i]] -= 1
+        table_tokens.update(texts[i].split())
+    source_tokens = Counter(source.tokens)
+    if source_tokens.items() <= table_tokens.items():  # the table holds each source token as often
+        return 1.0
+    missing = source_tokens - table_tokens
     uncovered = sum(count * _alnum_len(tok) for tok, count in missing.items())
     return 1.0 - uncovered / total
 
@@ -291,11 +342,12 @@ def compute_hallucination(source: SourceText, table: Table) -> float:
         matched = denom - sum(_alnum_len(tok) for tok in missed)
         return 1.0 - matched / denom
 
+    # a row whose tokens are all source tokens, an empty one included, scores 0
+    row_texts = map(map, repeat(attrgetter("text")), rows)
+    clean = map(in_source.issuperset, map(str.split, map(" ".join, row_texts)))
     total = 0.0
-    for row in rows:
-        if not row or in_source.issuperset(" ".join(cell.text for cell in row).split()):
-            continue
-        total += sum(uncovered(cell.text) for cell in row) / len(row)
+    for row in compress(rows, map(not_, clean)):
+        total += sum(map(uncovered, map(attrgetter("text"), row))) / len(row)
     return total / len(rows)
 
 
@@ -310,29 +362,32 @@ def run_sanity_check(
     patterns: Sequence[EntityType] | None = None,
     threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
 ) -> ValidationReport:
-    """Run every rule and aggregate scores in one walk of the body.
+    """Run every rule and aggregate scores.
 
     The column pass types each body column and judges its cells
     (``check_column``). The row pass then applies the empty-row,
     merged-cell, bracket and split-number rules, stripping each cell once;
     the merged-cell rule reads which columns the column pass typed as
-    numbers, and the bracket and split rules test a cell only when its
-    row's joined text has a hit. Violations are reported in ``Rule`` order,
-    each rule's in row order. A cell flagged by several rules counts once
-    toward ``violating_cells``; the consistent cells, counted, not
-    collected, are those that fit their column and the empty ones
-    (structural padding), less those that violate a rule.
+    numbers. A row is walked cell by cell only where a scan of the whole
+    body finds a cell in which one of those rules can fire: a bracket, a
+    "," or "." that ends a cell, a blank inside a cell, two neighbouring
+    digit cells, or a letter in a number column. Violations are reported
+    in ``Rule`` order, each rule's in row order. A cell flagged by several
+    rules counts once toward ``violating_cells``; the consistent cells,
+    counted, not collected, are those that fit their column and the empty
+    ones (structural padding), less those that violate a rule.
     """
     if patterns is None:
         patterns = default_entity_patterns()
     number = next((e for e in patterns if e.kind == "number"), None)
     found: dict[Rule, list[Violation]] = {rule: [] for rule in Rule}
     number_columns: set[int] = set()
-    fits = empties = 0
+    fits = 0
     unfit: set[tuple[int, int]] = set()
     violating: set[tuple[int, int]] = set()
-    for col, texts in enumerate(table.body_columns()):
-        entity, flagged, fit_count, unfit_rows = check_column(texts, col, patterns, threshold)
+    columns = table.body_columns()
+    for col, column in enumerate(columns):
+        entity, flagged, fit_count, unfit_rows = check_column(column, col, patterns, threshold)
         found[Rule.INCONSISTENT_COLUMN] += flagged
         fits += fit_count
         unfit.update((r, col) for r in unfit_rows)
@@ -347,13 +402,30 @@ def run_sanity_check(
             violating.add((r, col))
 
     body = table.body_rows
-    for r, row in enumerate(body):
-        stripped = [cell.text.strip() for cell in row]
-        empties += stripped.count("")
-        if row and not any(stripped):
+    texts = list(map(str.strip, map(attrgetter("text"), chain.from_iterable(body))))
+    bounds = array("q", accumulate(map(len, body), initial=0))  # row r holds texts[bounds[r]:bounds[r + 1]]
+    empties = texts.count("")
+    if empties:
+        # the rows with cells, less those that a non-empty text sits in
+        filled = compress(chain.from_iterable(map(repeat, count(), map(len, body))), texts)
+        for r in sorted(set(compress(count(), body)).difference(filled)):
             flag(Rule.EMPTY_ROW, r, None, f"body row {r} is blank")
-            violating.update((r, cell.col) for cell in row)
-            continue
+            violating.update((r, cell.col) for cell in body[r])
+    # the cells in which a row rule can fire: a cell of several tokens holds
+    # a blank, and a split digit group is a digit cell before another
+    needles = _BRACKETS + _DANGLING + (_SPACES if number is not None else ())
+    hits = _cells_holding(texts, "\x00".join(texts), needles)
+    digit_cells = set(compress(count(), map(str.isdigit, texts)))
+    hits.update(i for i in digit_cells if i + 1 in digit_cells and len(texts[i]) <= 3 and len(texts[i + 1]) == 3)
+    rows = {bisect_right(bounds, i) - 1 for i in hits}
+    for col in number_columns:  # a word that labels a number needs a letter
+        joined = "\x00".join(columns[col])
+        if not joined.isascii() or joined.upper() != joined.lower():  # ASCII letters are all cased
+            letters = [ch for ch in set(joined) if ch.isalpha()]
+            rows.update(_cells_holding(columns[col], joined, letters))
+    for r in sorted(rows):
+        row = body[r]
+        stripped = texts[bounds[r] : bounds[r + 1]]
         # a cell's own search hits only if the row's does; "\x00" ends
         # every cell but the last, which has no right neighbour to split with
         joined = "\x00".join(stripped)

@@ -144,8 +144,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     tasks = benchmod.ingest_dataset(args.dir, args.format)
     cfg = _pipeline_config(args)
     timeout = args.timeout if args.timeout else (None if args.replay else 120.0)
+    report_path = Path(args.report)
+    # refused or made ready before any task runs, so a finished batch is never lost on writing it
+    if report_path.is_dir():
+        raise UsageError(f"--report {args.report}: is a directory")
+    try:
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--report {args.report}: cannot create its directory: {exc.strerror or exc}") from exc
     report = benchmod.run_bench(tasks, cfg, parallelism=args.parallel, per_task_timeout=timeout)
-    Path(args.report).write_text(report.to_json(), encoding="utf-8")
+    report_path.write_text(report.to_json(), encoding="utf-8")
     if args.outputs:
         benchmod.write_task_outputs(report.per_task, args.outputs)
     errored = report.aggregates["errored"]

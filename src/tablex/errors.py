@@ -103,14 +103,20 @@ _BOUNDS = {"min": (">=", ge), "above": (">", gt), "max": ("<=", le), "below": ("
 def check_value(name: str, value: object, kind: type, **bounds: float) -> None:
     """Raise ``TypeError`` unless ``value`` is of ``kind`` (``int``: an int;
     ``float``: an int or float, not NaN; neither a bool; ``str``: non-empty;
-    ``bool``), then ``ValueError`` unless it meets each bound: ``min`` (>=),
-    ``above`` (>), ``max`` (<=), ``below`` (<)."""
+    ``bool``), then ``ValueError`` for a ``str`` that UTF-8 cannot encode (a
+    lone surrogate) or unless it meets each bound: ``min`` (>=), ``above``
+    (>), ``max`` (<=), ``below`` (<)."""
     if kind is float:  # NaN is the one value unequal to itself; math.isnan overflows on a huge int
         ok = isinstance(value, (int, float)) and value == value
     else:
         ok = isinstance(value, kind) and value != ""
     if not ok or (kind is not bool and isinstance(value, bool)):
         raise TypeError(f"{name} must be {_KINDS[kind]}, not {value!r}")
+    if kind is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{name} must be encodable as UTF-8, not {value!r}") from None
     if not all(_BOUNDS[bound][1](value, limit) for bound, limit in bounds.items()):
         wanted = " and ".join(f"{_BOUNDS[bound][0]} {limit:g}" for bound, limit in bounds.items())
         raise ValueError(f"{name} must be {wanted}, not {value!r}")

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import tablex.bench as bench
 import tablex.checker as checker
 import tablex.gateway as gateway
 import tablex.metrics as metrics
@@ -523,6 +524,73 @@ def test_cli_extract_lone_surrogate_answer_is_task_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("tablex: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["extract", "bench"])
+def test_cli_lone_surrogate_in_config_is_usage_error(tmp_path, capsys, command):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"generator": {"model_id": "m\ud800"}}))  # the escape, in ASCII
+    report = tmp_path / "r.json"
+    if command == "extract":
+        (tmp_path / "input.txt").write_text(flatten_table(simple_gold("alpha", "beta")).raw)
+        argv = ["extract", str(tmp_path / "input.txt")]
+    else:
+        argv = ["bench", str(data_dir), "--format", "csv", "--report", str(report)]
+    assert cli(argv + ["--replay", "--cache-dir", str(cache_dir), "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"tablex: {config_path}: model_id must be encodable as UTF-8")
+    assert captured.err.count("\n") == 1
+    assert not report.exists()
+
+
+def bench_argv(data_dir, cache_dir, report, *extra) -> list[str]:
+    return ["bench", str(data_dir), "--format", "csv", "--replay", "--cache-dir", str(cache_dir), "--model", MODEL,
+            "--report", str(report), *extra]  # fmt: skip
+
+
+def test_cli_bench_report_into_missing_directory(tmp_path):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    report, out = tmp_path / "rep" / "missing" / "report.json", tmp_path / "rep" / "tasks"
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(out))) == 0
+    assert len(json.loads(report.read_text())["per_task"]) == 4
+    assert len(list(out.iterdir())) == 12
+
+
+def test_cli_bench_report_that_is_a_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    report = tmp_path / "rep"
+    report.mkdir()
+    ran = []
+    monkeypatch.setattr(bench, "_run_task", lambda *args, **kwargs: ran.append(args))
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(tmp_path / "tasks"))) == 2
+    err = capsys.readouterr().err
+    assert err == f"tablex: --report {report}: is a directory\n"
+    assert ran == [] and not (tmp_path / "tasks").exists()
+
+
+def test_cli_bench_report_under_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    (tmp_path / "plain").write_text("")
+    ran = []
+    monkeypatch.setattr(bench, "_run_task", lambda *args, **kwargs: ran.append(args))
+    assert cli(bench_argv(data_dir, cache_dir, tmp_path / "plain" / "report.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: --report {tmp_path / 'plain' / 'report.json'}: cannot create its directory")
+    assert err.count("\n") == 1 and ran == []
+
+
+def test_cli_bench_failing_early_keeps_existing_report(tmp_path, capsys):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    report = tmp_path / "report.json"
+    report.write_text("previous report")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"pipeline": {"max_iterations": 0}}))
+    assert cli(bench_argv(data_dir, cache_dir, report, "--config", str(config_path))) == 2
+    assert cli(bench_argv(tmp_path / "absent", cache_dir, report)) == 1
+    capsys.readouterr()
+    assert report.read_text() == "previous report"
 
 
 def test_cli_usage_errors_exit_two(capsys):

@@ -413,6 +413,15 @@ def test_backend_config_rejects_bad_strings(field, value):
         BackendConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["endpoint", "model_id", "api_key_env"])
+@pytest.mark.parametrize("value", ["m\ud800", "\udcff"])
+def test_backend_config_rejects_strings_utf8_cannot_encode(field, value):
+    # a lone surrogate would otherwise fail later, in request_fingerprint
+    with pytest.raises(ValueError, match=f"{field} must be encodable as UTF-8"):
+        BackendConfig(**{field: value})
+    assert BackendConfig(**{field: "m\u00e9\U0001f600"}) is not None
+
+
 @pytest.mark.parametrize("value", [0, -1])
 def test_backend_config_rejects_non_positive_max_output_tokens(value):
     with pytest.raises(ValueError, match="max_output_tokens must be >= 1"):
