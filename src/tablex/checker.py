@@ -26,7 +26,7 @@ from importlib import resources
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, attrgetter, itemgetter, not_
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_fields
 from .model import SourceText, Table
@@ -36,7 +36,6 @@ DEFAULT_CONSISTENCY_THRESHOLD = 0.8
 _BRACKET_PAIRS = {")": "(", "]": "[", "}": "{"}
 _OPENERS = set(_BRACKET_PAIRS.values())
 _DANGLING_RE = re.compile(r"\d[,.]$")
-_DANGLING_JOINED_RE = re.compile(r"\d[,.]\x00")  # ``_DANGLING_RE`` on a row's "\x00"-joined cells
 _BRACKET_RE = re.compile(r"[()\[\]{}]")
 # What the row pass looks for in the "\x00"-joined body, with ``str.find``
 # (a regex character class scans many times slower): the brackets, the
@@ -77,14 +76,14 @@ class EntityType:
 
 @lru_cache(maxsize=1)
 def default_entity_patterns() -> tuple[EntityType, ...]:
-    data = resources.files("tablex").joinpath("data/entity_patterns.json").read_text()
+    data = resources.files("tablex").joinpath("data/entity_patterns.json").read_text(encoding="utf-8")
     return _patterns_from_json(data)
 
 
 def load_entity_patterns(path: str | Path) -> tuple[EntityType, ...]:
     """Load an entity pattern set (priority-ordered JSON array) from disk;
     a malformed set or a pattern that does not compile is a ``ValueError``."""
-    return _patterns_from_json(Path(path).read_text())
+    return _patterns_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _patterns_from_json(data: str) -> tuple[EntityType, ...]:
@@ -97,10 +96,11 @@ def _patterns_from_json(data: str) -> tuple[EntityType, ...]:
         raise ValueError(f"not a list of kind/pattern objects: {exc!r}") from exc
     except re.error as exc:
         raise ValueError(f"invalid regex {exc.pattern!r}: {exc}") from exc
+    except RecursionError as exc:  # JSON nested deeper than the decoder recurses
+        raise ValueError(f"not valid JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Syntactic fingerprint of a cell: which character classes occur."""
 
     has_digits: bool = False
@@ -111,10 +111,10 @@ class Signature:
     @classmethod
     def of_text(cls, text: str) -> "Signature":
         return cls(
-            has_digits=any(map(str.isdigit, text)),
-            has_letters=any(map(str.isalpha, text)),
-            has_punct=any(not ch.isalnum() and not ch.isspace() for ch in text),
-            has_whitespace=any(map(str.isspace, text)),
+            any(map(str.isdigit, text)),
+            any(map(str.isalpha, text)),
+            any(not ch.isalnum() and not ch.isspace() for ch in text),
+            any(map(str.isspace, text)),
         )
 
 
@@ -221,7 +221,7 @@ def check_column(
             break
     else:
         entity = None
-        raw = counts if stripped == texts else Counter(compress(texts, stripped))
+        raw = Counter(compress(texts, stripped))
         signatures: dict[str, Signature] = {}
         shares: dict[Signature, int] = {}
         for text, k in raw.items():
@@ -243,7 +243,8 @@ def check_column(
 
 
 def _has_unbalanced_brackets(text: str) -> bool:
-    """Whether ``text`` has an unmatched or crossing (), [] or {} pair."""
+    """Whether ``text`` has an unmatched or crossing (), [] or {} pair; a
+    text without a bracket costs one regex search."""
     if _BRACKET_RE.search(text) is None:
         return False
     stack: list[str] = []
@@ -285,18 +286,13 @@ def _alnum_len(text: str) -> int:
 def compute_coverage(source: SourceText, table: Table) -> float:
     """Fraction of the source's alphanumeric characters preserved in the
     table: 1 - uncovered/total. A source token is covered while the table's
-    token multiset still has an identical token to consume."""
+    token multiset still has an identical token to consume. Each table text
+    is split once, with ``str.split``, into that multiset."""
     total = source.alnum_count
     if total == 0:
         return 1.0
-    texts = list(map(attrgetter("text"), chain.from_iterable(table.rows)))
-    # a text without whitespace is one token (none if empty), so only the
-    # others are split; the counts left under them and under "" never meet
-    # a source token, which is neither empty nor holds whitespace
-    table_tokens = Counter(texts)
-    for i in _cells_holding(texts, "\x00".join(texts), _SPACES):
-        table_tokens[texts[i]] -= 1
-        table_tokens.update(texts[i].split())
+    texts = map(attrgetter("text"), chain.from_iterable(table.rows))
+    table_tokens = Counter(chain.from_iterable(map(str.split, texts)))
     source_tokens = Counter(source.tokens)
     if source_tokens.items() <= table_tokens.items():  # the table holds each source token as often
         return 1.0
@@ -371,11 +367,13 @@ def run_sanity_check(
     numbers. A row is walked cell by cell only where a scan of the whole
     body finds a cell in which one of those rules can fire: a bracket, a
     "," or "." that ends a cell, a blank inside a cell, two neighbouring
-    digit cells, or a letter in a number column. Violations are reported
-    in ``Rule`` order, each rule's in row order. A cell flagged by several
-    rules counts once toward ``violating_cells``; the consistent cells,
-    counted, not collected, are those that fit their column and the empty
-    ones (structural padding), less those that violate a rule.
+    digit cells, or a letter in a number column. In such a row, every
+    non-empty cell is tested by the bracket and the dangling-separator
+    filters. Violations are reported in ``Rule`` order, each rule's in row
+    order. A cell flagged by several rules counts once toward
+    ``violating_cells``; the consistent cells, counted, not collected, are
+    those that fit their column and the empty ones (structural padding),
+    less those that violate a rule.
     """
     if patterns is None:
         patterns = default_entity_patterns()
@@ -426,11 +424,6 @@ def run_sanity_check(
     for r in sorted(rows):
         row = body[r]
         stripped = texts[bounds[r] : bounds[r + 1]]
-        # a cell's own search hits only if the row's does; "\x00" ends
-        # every cell but the last, which has no right neighbour to split with
-        joined = "\x00".join(stripped)
-        brackets = _BRACKET_RE.search(joined) is not None
-        dangling = _DANGLING_JOINED_RE.search(joined) is not None
         for j, (cell, text) in enumerate(zip(row, stripped)):
             if not text:
                 continue
@@ -444,14 +437,14 @@ def run_sanity_check(
                 numeric = sum(1 for core in cores if core and number.matches(core)) if len(cores) >= 2 or labelled else 0
                 if numeric >= 2 or (numeric == 1 and labelled):
                     flag(Rule.MERGED_CELL, r, cell.col, f"cell {cell.text!r} holds {numeric} numeric tokens")
-            if brackets and _has_unbalanced_brackets(text):
+            if _has_unbalanced_brackets(text):
                 flag(Rule.UNBALANCED_BRACKETS, r, cell.col, f"cell {cell.text!r} has unbalanced brackets")
             # one number split over this cell and the next: a dangling
             # separator ("1,") or a short digit group before three digits
             if j + 1 < len(row):
                 right = stripped[j + 1]
                 fragmented = text.isdigit() and len(text) <= 3 and right.isdigit() and len(right) == 3
-                if fragmented or (dangling and _DANGLING_RE.search(text) is not None):
+                if fragmented or _DANGLING_RE.search(text) is not None:
                     flag(Rule.DELIMITER_ERROR, r, cell.col, f"cells {text!r} | {right!r} look like a split number")
 
     # every violating cell is empty, fits its column or is unfit

@@ -38,7 +38,7 @@ def _load_config(path: str | None) -> dict:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or too deep a nesting
         raise UsageError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"{path}: not a JSON object")

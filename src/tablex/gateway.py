@@ -90,14 +90,16 @@ class BackendConfig:
 
 
 def request_fingerprint(prompt: str, model_id: str, params: dict) -> str:
-    """Stable hash of (prompt, model, decoding params); the transcript key."""
+    """Stable hash of (prompt, model, decoding params); the transcript key.
+    A lone surrogate, which a model answer can carry into a later prompt,
+    hashes as its own UTF-8-style bytes; every other prompt hashes as UTF-8."""
     canonical = json.dumps(
         {"prompt": prompt, "model_id": model_id, "params": params},
         sort_keys=True,
         ensure_ascii=False,
         separators=(",", ":"),
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ class TranscriptStore:
                 record = json.load(handle)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: too deep a nesting
             raise CorruptTranscript(f"unreadable transcript {path}: {exc}") from exc
         if not isinstance(record, dict) or not isinstance(record.get("response"), str):
             raise CorruptTranscript(f'transcript {path} has no "response" string')

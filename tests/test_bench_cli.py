@@ -22,6 +22,7 @@ from tablex.gateway import (
     request_fingerprint,
 )
 from tablex.model import (
+    SourceText,
     Table,
     flatten_table,
     parse_csv_table,
@@ -29,9 +30,12 @@ from tablex.model import (
     serialize_csv,
     serialize_html,
 )
-from tablex.pipeline import PipelineConfig
+from tablex.pipeline import PipelineConfig, run_ten
+
+from scripted import ScriptedBackend
 
 MODEL = "replay-model"
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # nested deeper than the json module recurses
 
 
 def envelope(table: Table) -> str:
@@ -230,6 +234,17 @@ def test_bench_isolates_corrupt_transcript(tmp_path):
     assert all(o.metrics is not None for o in report.per_task if not o.error)
 
 
+def test_cli_extract_deeply_nested_transcript_is_corrupt(tmp_path, capsys):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    source = ingest_dataset(data_dir, "csv")[0].source.raw
+    (tmp_path / "input.txt").write_text(source)
+    generation_path(cache_dir, source).write_text(DEEP_JSON)
+    argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tablex: unreadable transcript ") and err.count("\n") == 1
+
+
 def test_bench_byte_identical_across_parallelism(tmp_path):
     data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
     tasks = ingest_dataset(data_dir, "csv")
@@ -388,6 +403,13 @@ def test_cli_malformed_config_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"tablex: {path}: ") and err.count("\n") == 1
 
 
+def test_cli_deeply_nested_config_is_usage_error(tmp_path, capsys):
+    code, path = bad_config_run(tmp_path, DEEP_JSON)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {path}: not valid JSON: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_cli_unreadable_config_is_usage_error(tmp_path, capsys, kind):
     (tmp_path / "input.txt").write_text("some words")
@@ -524,6 +546,34 @@ def test_cli_extract_lone_surrogate_answer_is_task_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("tablex: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["extract", "bench"])
+def test_cli_lone_surrogate_in_critique_is_replay_miss(tmp_path, capsys, command):
+    """A recorded critique whose JSON holds the escape "\\ud800" puts a lone
+    surrogate into the regeneration prompt, which replay then cannot find."""
+    gold = simple_gold("alpha", "beta")
+    data_dir, cache_dir = tmp_path / "data", tmp_path / "cache"
+    data_dir.mkdir()
+    (data_dir / "a.csv").write_text(serialize_csv(gold) + "\r\n")
+    source = flatten_table(gold).raw
+    (tmp_path / "input.txt").write_text(source)
+    partial = envelope(Table.from_rows(header=[["Name", "Qty"]], body=[["alpha", "1"]]))  # coverage below 0.9
+    script = ScriptedBackend([partial, "fix it \ud800", partial])
+    run_ten(SourceText(source), PipelineConfig(generator=script, critic=script, max_iterations=2))
+    # record the generation and the critique; the regeneration prompt stays unrecorded
+    for prompt, response in zip(script.calls, script.responses[:2]):
+        TranscriptStore(cache_dir).put(prompt, response, BackendConfig(model_id=MODEL))
+    replay = ["--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    if command == "extract":
+        assert cli(["extract", str(tmp_path / "input.txt")] + replay) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tablex: no recorded response for fingerprint ") and err.count("\n") == 1
+    else:
+        report_path = tmp_path / "report.json"
+        assert cli(["bench", str(data_dir), "--format", "csv", "--report", str(report_path)] + replay) == 1
+        [task] = json.loads(report_path.read_text())["per_task"]
+        assert task["error"].startswith("ReplayMissError: no recorded response")
 
 
 @pytest.mark.parametrize("command", ["extract", "bench"])
@@ -743,8 +793,8 @@ def test_cli_check_empty_patterns_type_no_column(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, json.dumps([{"kind": "code"}]), json.dumps([{"kind": "code", "pattern": "(["}])],
-    ids=["missing", "no-pattern", "bad-regex"],
+    [None, json.dumps([{"kind": "code"}]), json.dumps([{"kind": "code", "pattern": "(["}]), DEEP_JSON],
+    ids=["missing", "no-pattern", "bad-regex", "deep"],
 )
 def test_cli_bad_patterns_is_usage_error(tmp_path, capsys, content):
     table = Table.from_rows(body=[["AB-12"], ["CD-34"]])

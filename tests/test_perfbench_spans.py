@@ -37,9 +37,14 @@ def test_trace_wrappers_find_every_binding():
         spans.install_record_wrappers(tracer, tablex, StubGenerator())
         table = Table.from_rows(body=[["a", "1"]])
         tablex.pipeline.run_sanity_check(SourceText("a 1"), table)
+        # tables that differ, since evaluate skips TED on an exact match
+        tablex.bench.evaluate(table, Table.from_rows(body=[["a", "2"]]))
     finally:
         tracer.unwrap_all()
     assert [getattr(owner, name) for owner, name in traced] == originals
     # run_sanity_check reaches the scores through the checker's own bindings
     for name in ("checker.run_sanity_check", "checker.compute_hallucination", "checker.compute_coverage"):
+        assert tracer.calls(name) == 1, name
+    # evaluate reaches TED through the metrics module's binding, which the traced ted-eval run counts
+    for name in ("metrics.evaluate", "metrics.tree_edit_distance"):
         assert tracer.calls(name) == 1, name
