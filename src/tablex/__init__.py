@@ -22,7 +22,6 @@ from .gateway import BackendConfig, PromptKind, render_prompt
 from .metrics import MetricReport, evaluate, exact_match, tree_edit_distance
 from .model import (
     Cell,
-    ExtractionResult,
     SourceText,
     Table,
     concat_partial_tables,
@@ -41,7 +40,6 @@ __all__ = [
     "Cell",
     "ConvergenceThresholds",
     "EntityType",
-    "ExtractionResult",
     "MetricReport",
     "PipelineConfig",
     "PipelineResult",

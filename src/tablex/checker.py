@@ -179,7 +179,7 @@ def check_column(
     col: int,
     patterns: Sequence[EntityType] | None = None,
     threshold: float = DEFAULT_CONSISTENCY_THRESHOLD,
-) -> tuple[EntityType | None, list[Violation], int, list[int]]:
+) -> tuple[EntityType | None, list[Violation], list[int]]:
     """Type one body column and judge its cells from the same matches.
 
     The column's entity type is the first of ``patterns`` (their order is
@@ -187,8 +187,8 @@ def check_column(
     non-empty cells; it flags the non-empty cells it does not match. An
     untyped column flags the non-empty cells off the signature that at
     least ``threshold`` of them share, and judges nothing when no signature
-    is that common. Returns the entity type, its violations, how many cells
-    fit, and the rows of the non-empty cells that do not (or are unjudged).
+    is that common. Returns the entity type, its violations and the rows of
+    the non-empty cells that do not fit (or are unjudged).
 
     Each distinct stripped text is matched once per pattern, and a miss
     counts as many cells as hold that text. A pattern stops being matched
@@ -204,7 +204,7 @@ def check_column(
     counts = Counter(stripped)
     n = len(stripped) - counts.pop("", 0)
     if not n:
-        return None, [], 0, []
+        return None, [], []
     for entity in patterns:
         missed, misses = set(), 0
         for text, k in counts.items():
@@ -229,17 +229,16 @@ def check_column(
             shares[sig] = shares.get(sig, 0) + k
         common, share = max(shares.items(), key=itemgetter(1))  # the first of the most common
         if share / n < threshold:
-            return None, [], 0, list(compress(count(), stripped))
+            return None, [], list(compress(count(), stripped))
         missed = {text for text, sig in signatures.items() if sig != common}
-        misses = n - share
         claim = "signature outliers"
         keys = texts
     if not missed:
-        return entity, [], n, []
+        return entity, [], []
     rows = list(compress(count(), map(missed.__contains__, keys)))
     where = "; ".join(f"row {r}: {texts[r]!r}" for r in rows)
     violation = Violation(Rule.INCONSISTENT_COLUMN, row=None, col=col, detail=f"column {col} {claim} {where}")
-    return entity, [violation], n - misses, rows
+    return entity, [violation], rows
 
 
 def _has_unbalanced_brackets(text: str) -> bool:
@@ -371,23 +370,20 @@ def run_sanity_check(
     non-empty cell is tested by the bracket and the dangling-separator
     filters. Violations are reported in ``Rule`` order, each rule's in row
     order. A cell flagged by several rules counts once toward
-    ``violating_cells``; the consistent cells, counted, not collected, are
-    those that fit their column and the empty ones (structural padding),
-    less those that violate a rule.
+    ``violating_cells``; a body cell is consistent when it is neither unfit
+    for its column nor violating.
     """
     if patterns is None:
         patterns = default_entity_patterns()
     number = next((e for e in patterns if e.kind == "number"), None)
     found: dict[Rule, list[Violation]] = {rule: [] for rule in Rule}
     number_columns: set[int] = set()
-    fits = 0
     unfit: set[tuple[int, int]] = set()
     violating: set[tuple[int, int]] = set()
     columns = table.body_columns()
     for col, column in enumerate(columns):
-        entity, flagged, fit_count, unfit_rows = check_column(column, col, patterns, threshold)
+        entity, flagged, unfit_rows = check_column(column, col, patterns, threshold)
         found[Rule.INCONSISTENT_COLUMN] += flagged
-        fits += fit_count
         unfit.update((r, col) for r in unfit_rows)
         if flagged:
             violating.update((r, col) for r in unfit_rows)
@@ -402,8 +398,7 @@ def run_sanity_check(
     body = table.body_rows
     texts = list(map(str.strip, map(attrgetter("text"), chain.from_iterable(body))))
     bounds = array("q", accumulate(map(len, body), initial=0))  # row r holds texts[bounds[r]:bounds[r + 1]]
-    empties = texts.count("")
-    if empties:
+    if "" in texts:
         # the rows with cells, less those that a non-empty text sits in
         filled = compress(chain.from_iterable(map(repeat, count(), map(len, body))), texts)
         for r in sorted(set(compress(count(), body)).difference(filled)):
@@ -447,8 +442,7 @@ def run_sanity_check(
                 if fragmented or _DANGLING_RE.search(text) is not None:
                     flag(Rule.DELIMITER_ERROR, r, cell.col, f"cells {text!r} | {right!r} look like a split number")
 
-    # every violating cell is empty, fits its column or is unfit
-    consistent = fits + empties - len(violating - unfit)
+    consistent = len(texts) - len(unfit) - len(violating - unfit)
     column_sizes = Counter(map(attrgetter("col"), chain.from_iterable(body)))
     column_bad = Counter(col for _, col in violating)
     total = sum(column_sizes.values())

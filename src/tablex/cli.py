@@ -88,6 +88,19 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         raise UsageError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
+def _ready_output(flag: str, path: str, directory: bool = False) -> None:
+    """Before the run, refuse ``path`` or make its directory (a ``directory``: itself), so no result is lost."""
+    if not directory and Path(path).is_dir():
+        raise UsageError(f"{flag} {path}: is a directory")
+    try:
+        if directory:  # made by the outputs writer, as after the batch, so perfbench times it as outputs work
+            benchmod.write_task_outputs([], path)
+        else:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"{flag} {path}: cannot create its directory: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8", newline="")
@@ -103,6 +116,8 @@ def _emit(text: str, output: str | None) -> None:
 def _cmd_extract(args: argparse.Namespace) -> int:
     source = SourceText(benchmod.read_text(args.input))
     cfg = _pipeline_config(args)
+    if args.output:
+        _ready_output("--output", args.output)
     result = run_ten(source, cfg)
     if args.out == "html":
         _emit(serialize_html(result.final), args.output)
@@ -144,16 +159,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     tasks = benchmod.ingest_dataset(args.dir, args.format)
     cfg = _pipeline_config(args)
     timeout = args.timeout if args.timeout else (None if args.replay else 120.0)
-    report_path = Path(args.report)
-    # refused or made ready before any task runs, so a finished batch is never lost on writing it
-    if report_path.is_dir():
-        raise UsageError(f"--report {args.report}: is a directory")
-    try:
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"--report {args.report}: cannot create its directory: {exc.strerror or exc}") from exc
+    _ready_output("--report", args.report)
+    if args.outputs:
+        if Path(os.path.abspath(args.outputs)).is_relative_to(os.path.abspath(args.report)):
+            raise UsageError(f"--outputs {args.outputs}: would turn --report {args.report} into a directory")
+        _ready_output("--outputs", args.outputs, directory=True)
     report = benchmod.run_bench(tasks, cfg, parallelism=args.parallel, per_task_timeout=timeout)
-    report_path.write_text(report.to_json(), encoding="utf-8")
+    Path(args.report).write_text(report.to_json(), encoding="utf-8")
     if args.outputs:
         benchmod.write_task_outputs(report.per_task, args.outputs)
     errored = report.aggregates["errored"]

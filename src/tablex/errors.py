@@ -7,7 +7,7 @@ from operator import ge, gt, le, lt
 
 
 class TablexError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; one is its class and its message."""
 
 
 class MalformedJson(TablexError):
@@ -19,15 +19,7 @@ class MissingTablesKey(TablexError):
 
 
 class HtmlParseFailure(TablexError):
-    """An HTML table could not be parsed.
-
-    ``entry_index`` identifies the offending entry when the failure happened
-    while decoding an extraction result with several tables.
-    """
-
-    def __init__(self, message: str, entry_index: int | None = None):
-        super().__init__(message)
-        self.entry_index = entry_index
+    """An HTML table could not be parsed."""
 
 
 class EmptyExtraction(TablexError):
@@ -36,10 +28,6 @@ class EmptyExtraction(TablexError):
 
 class MissingSlot(TablexError):
     """A prompt template placeholder was not supplied."""
-
-    def __init__(self, slot: str):
-        super().__init__(f"missing prompt slot: {slot!r}")
-        self.slot = slot
 
 
 class BackendFailure(TablexError):
@@ -52,10 +40,6 @@ class TransportError(BackendFailure):
 
 class ReplayMissError(BackendFailure):
     """The replay store has no response recorded for a fingerprint."""
-
-    def __init__(self, fingerprint: str):
-        super().__init__(f"no recorded response for fingerprint {fingerprint}")
-        self.fingerprint = fingerprint
 
 
 class AuthMissingError(BackendFailure):
@@ -87,8 +71,6 @@ class UnreadableFile(TablexError):
 
     def __init__(self, path: str, reason: str):
         super().__init__(f"{path}: {reason}")
-        self.path = path
-        self.reason = reason
 
 
 class NoTasksFound(TablexError):

@@ -58,7 +58,7 @@ def render_prompt(kind: PromptKind, slots: dict[str, str]) -> str:
     def replace(match: re.Match) -> str:
         name = match.group(1)
         if name not in slots:
-            raise MissingSlot(name)
+            raise MissingSlot(f"missing prompt slot: {name!r}")
         return slots[name]
 
     return _PLACEHOLDER_RE.sub(replace, template)
@@ -251,7 +251,7 @@ class ReplayBackend:
         if record is not None:
             return record["response"]
         if self.live is None:
-            raise ReplayMissError(fingerprint)
+            raise ReplayMissError(f"no recorded response for fingerprint {fingerprint}")
         response = self.live.complete(prompt)
         if not isinstance(response, str):  # stored, it would make every later read corrupt
             raise TransportError(f"live backend answered {type(response).__name__}, not a string")

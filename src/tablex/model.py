@@ -13,7 +13,7 @@ import html as htmllib
 import io
 import json
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from html.parser import HTMLParser
 from typing import Iterator, NamedTuple, Sequence
@@ -54,9 +54,6 @@ class Cell(NamedTuple):
     col: int
     rowspan: int = 1
     colspan: int = 1
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _as_spec(value) -> tuple[str, int, int]:
@@ -387,11 +384,6 @@ class PartialTable:
     body: _Specs
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    tables: tuple[PartialTable, ...]
-
-
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\s*\n?(.*?)```", re.DOTALL)
 
 
@@ -426,8 +418,8 @@ def _entry_field(entry: dict, name: str):
     return None
 
 
-def parse_extraction_json(text: str) -> ExtractionResult:
-    """Decode a model response into tables.
+def parse_extraction_json(text: str) -> tuple[PartialTable, ...]:
+    """Decode a model response into its partial tables.
 
     Accepts both the dollar-quoted and bare spellings of the envelope keys,
     strips markdown code fences, and ignores prose around the JSON object.
@@ -444,10 +436,10 @@ def parse_extraction_json(text: str) -> ExtractionResult:
     tables: list[PartialTable] = []
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise HtmlParseFailure(f"entry {index} is not an object", entry_index=index)
+            raise HtmlParseFailure(f"entry {index} is not an object")
         html = _entry_field(entry, "html_output")
         if not isinstance(html, str):
-            raise HtmlParseFailure(f"entry {index} has no html_output", entry_index=index)
+            raise HtmlParseFailure(f"entry {index} has no html_output")
         token = _entry_field(entry, "starting_token")
         if token is not None and not isinstance(token, str):
             token = str(token)
@@ -455,12 +447,12 @@ def parse_extraction_json(text: str) -> ExtractionResult:
             (html + (token or "")).encode("utf-8")  # a lone surrogate ("\ud800") cannot be written out
             header, body = _parse_specs(html)
         except (UnicodeEncodeError, HtmlParseFailure) as exc:
-            raise HtmlParseFailure(f"entry {index}: {exc}", entry_index=index) from exc
+            raise HtmlParseFailure(f"entry {index}: {exc}") from exc
         tables.append(PartialTable(token, header, body))
-    return ExtractionResult(tables=tuple(tables))
+    return tuple(tables)
 
 
-def concat_partial_tables(result: ExtractionResult) -> Table:
+def concat_partial_tables(parts: Sequence[PartialTable]) -> Table:
     """Stitch partial tables into one and place it once.
 
     The first table's header is kept. Every subsequent table contributes its
@@ -469,9 +461,9 @@ def concat_partial_tables(result: ExtractionResult) -> Table:
     across part boundaries. The result is normalized rectangular; a grid of
     more than 1,000,000 positions is an ``HtmlParseFailure``.
     """
-    if not result.tables:
+    if not parts:
         raise EmptyExtraction("extraction contained zero tables")
-    first, *rest = result.tables
+    first, *rest = parts
     body = list(first.body)
     for part in rest:
         if part.starting_token is not None:

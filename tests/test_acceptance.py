@@ -341,15 +341,15 @@ def test_criterion_7_metric_identities():
 
 def test_criterion_8_parsing_fidelity(listing_json, balance_sheet_gold_html, corrupted_corpus):
     result = parse_extraction_json(listing_json)
-    assert len(result.tables) == 2
-    assert [t.starting_token for t in result.tables] == [
+    assert len(result) == 2
+    assert [t.starting_token for t in result] == [
         "Biological Process",
         "Molecular Function",
     ]
-    header = [text for text, _, _ in result.tables[0].header[0]]
+    header = [text for text, _, _ in result[0].header[0]]
     assert len(header) == 5 and header[0] == "GO Category"
 
-    fixtures = [Table.from_rows(body=t.body, header=t.header) for t in result.tables]
+    fixtures = [Table.from_rows(body=t.body, header=t.header) for t in result]
     fixtures.append(normalize_rectangular(parse_html_table(balance_sheet_gold_html)))
     fixtures.append(concat_partial_tables(result))
     for fx in corrupted_corpus:

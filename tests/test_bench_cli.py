@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import tablex.bench as bench
+import tablex.cli as cli_module
 import tablex.checker as checker
 import tablex.gateway as gateway
 import tablex.metrics as metrics
@@ -332,6 +333,24 @@ def test_cli_check_reports_merged_cell(tmp_path, capsys):
     assert "Merged Cell" in capsys.readouterr().out
 
 
+def test_cli_extract_output_is_made_ready_before_the_run(tmp_path, capsys, monkeypatch):
+    gold = simple_gold("alpha", "beta")
+    source = flatten_table(gold)
+    cache_dir = tmp_path / "cache"
+    record_generation(cache_dir, source.raw, envelope(gold))
+    input_path = tmp_path / "input.txt"
+    input_path.write_text(source.raw)
+    runs = []
+    monkeypatch.setattr(cli_module, "run_ten", lambda *args: runs.append(args) or run_ten(*args))
+    base = ["extract", str(input_path), "--replay", "--cache-dir", str(cache_dir), "--model", MODEL, "--output"]
+    assert cli(base + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"tablex: --output {tmp_path}: is a directory\n"
+    assert runs == []
+    nested = tmp_path / "nodir" / "x.html"
+    assert cli(base + [str(nested)]) == 0
+    assert nested.read_text() == serialize_html(gold) and len(runs) == 1
+
+
 def test_cli_extract_replay_roundtrip(tmp_path, capsys):
     gold = simple_gold("alpha", "beta")
     source = flatten_table(gold)
@@ -629,6 +648,31 @@ def test_cli_bench_report_under_a_file_is_usage_error(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith(f"tablex: --report {tmp_path / 'plain' / 'report.json'}: cannot create its directory")
     assert err.count("\n") == 1 and ran == []
+
+
+def test_cli_bench_outputs_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    report, out = tmp_path / "report.json", tmp_path / "outfile"
+    out.write_text("")
+    ran = []
+    monkeypatch.setattr(bench, "_run_task", lambda *args, **kwargs: ran.append(args))
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(out))) == 2
+    err = capsys.readouterr().err
+    assert err == f"tablex: --outputs {out}: cannot create its directory: File exists\n"
+    assert ran == [] and not report.exists()
+
+
+@pytest.mark.parametrize("under", ["", "tasks"], ids=["same-path", "under-report"])
+def test_cli_bench_outputs_over_report_is_usage_error(tmp_path, capsys, monkeypatch, under):
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    report = tmp_path / "run"
+    out = report / under if under else report
+    ran = []
+    monkeypatch.setattr(bench, "_run_task", lambda *args, **kwargs: ran.append(args))
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(out))) == 2
+    err = capsys.readouterr().err
+    assert err == f"tablex: --outputs {out}: would turn --report {report} into a directory\n"
+    assert ran == [] and not report.exists()
 
 
 def test_cli_bench_failing_early_keeps_existing_report(tmp_path, capsys):

@@ -146,7 +146,7 @@ def test_empty_column_is_vacuous():
 
 
 def test_signature_flags_intruder():
-    entity, violations, _, _ = check_column(["3.5", "2.5", "9.5", "7.5", "abc"], 1, ())
+    entity, violations, _ = check_column(["3.5", "2.5", "9.5", "7.5", "abc"], 1, ())
     assert entity is None
     assert [v.rule for v in violations] == [Rule.INCONSISTENT_COLUMN]
     assert violations[0].col == 1 and "abc" in violations[0].detail

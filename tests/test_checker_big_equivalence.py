@@ -71,5 +71,5 @@ def test_matches_reference_on_big_tables():
             col = KINDS.index("unjudged")
             texts = table.body_columns()[col]
             for threshold in THRESHOLDS:
-                entity, flagged, fit_count, unfit_rows = check_column(texts, col, None, threshold)
-                assert (entity, flagged, fit_count) == (None, [], 0) and len(unfit_rows) > rows // 2
+                entity, flagged, unfit_rows = check_column(texts, col, None, threshold)
+                assert (entity, flagged) == (None, []) and len(unfit_rows) > rows // 2

@@ -14,7 +14,9 @@ from tablex.errors import (
     MissingSlot,
     ReplayMissError,
     StoreWriteFailure,
+    TablexError,
     TransportError,
+    UnreadableFile,
 )
 from tablex.gateway import (
     BackendConfig,
@@ -41,6 +43,18 @@ TEMPLATE_CHECKSUMS = {
     PromptKind.BASELINE: "c69716d30b16743ac810bbb0f8dde16c7613a7abfbb431a04af4751d5b3e0c6b",
     PromptKind.CHAIN_OF_THOUGHT: "27c64462128311424e42e125b5b1ec90c2589abde3540b35fb976358ce333460",
 }
+
+
+def _error_classes(cls=TablexError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_errors_hold_nothing_but_their_message(cls):
+    exc = cls("data/t1.txt", "not a directory") if cls is UnreadableFile else cls("a message")
+    assert vars(exc) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +87,7 @@ def test_render_critique_with_no_findings_marker():
 def test_render_regeneration_missing_slot():
     with pytest.raises(MissingSlot) as err:
         render_prompt(PromptKind.REGENERATION, {"Original Table": "a | b"})
-    assert err.value.slot == "Critique"
+    assert str(err.value) == "missing prompt slot: 'Critique'"
 
 
 def test_render_baseline_and_cot():
@@ -207,8 +221,15 @@ def test_replay_miss_names_fingerprint(tmp_path):
     with pytest.raises(ReplayMissError) as err:
         backend.complete("unseen prompt")
     expected = request_fingerprint("unseen prompt", CONFIG.model_id, CONFIG.params)
-    assert err.value.fingerprint == expected
     assert expected in str(err.value)
+
+
+def test_replay_miss_message_is_exact(tmp_path):
+    backend = ReplayBackend(CONFIG, TranscriptStore(tmp_path))
+    with pytest.raises(ReplayMissError) as err:
+        backend.complete("unseen prompt")
+    fingerprint = request_fingerprint("unseen prompt", CONFIG.model_id, CONFIG.params)
+    assert str(err.value) == f"no recorded response for fingerprint {fingerprint}"
 
 
 class FakeLive:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 import tracemalloc
@@ -13,7 +12,6 @@ from tablex.checker import compute_coverage
 from tablex.errors import EmptyExtraction, HtmlParseFailure, MalformedJson, MissingTablesKey, TablexError
 from tablex.model import (
     Cell,
-    ExtractionResult,
     PartialTable,
     SourceText,
     Table,
@@ -75,7 +73,7 @@ def test_alnum_count_counts_what_isalnum_counts():
 def test_cell_is_slotted_frozen_and_hashable():
     cell = Cell("a", 0, 1, 2, 1)
     assert not hasattr(cell, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cell.text = "b"
     twin = Cell("a", 0, 1, rowspan=2)
     assert twin == cell and hash(twin) == hash(cell) and len({cell, twin}) == 1
@@ -89,12 +87,12 @@ def test_cell_is_slotted_frozen_and_hashable():
 
 def test_parse_extraction_listing(listing_json):
     result = parse_extraction_json(listing_json)
-    assert len(result.tables) == 2
-    assert [t.starting_token for t in result.tables] == [
+    assert len(result) == 2
+    assert [t.starting_token for t in result] == [
         "Biological Process",
         "Molecular Function",
     ]
-    first = result.tables[0]
+    first = result[0]
     header = spec_texts(first.header)
     assert len(header) == 1 and len(header[0]) == 5
     assert header[0][0] == "GO Category"
@@ -102,7 +100,7 @@ def test_parse_extraction_listing(listing_json):
 
 def test_parse_extraction_empty():
     result = parse_extraction_json('{"tables": []}')
-    assert result.tables == ()
+    assert result == ()
 
 
 def test_parse_extraction_truncated_is_malformed(listing_json):
@@ -118,13 +116,13 @@ def test_parse_extraction_fenced_and_prose():
         "\n```\nLet me know if you need anything else." % MINIMAL.replace('"', '\\"')
     )
     result = parse_extraction_json(wrapped)
-    assert len(result.tables) == 1
-    assert result.tables[0].starting_token is None
+    assert len(result) == 1
+    assert result[0].starting_token is None
 
 
 def test_parse_extraction_prose_without_fence(listing_json):
     result = parse_extraction_json("Model says:\n" + listing_json + "\nDone.")
-    assert len(result.tables) == 2
+    assert len(result) == 2
 
 
 def test_parse_extraction_missing_tables_key():
@@ -138,7 +136,14 @@ def test_parse_extraction_entry_failure_carries_index():
     )
     with pytest.raises(HtmlParseFailure) as err:
         parse_extraction_json(payload)
-    assert err.value.entry_index == 1
+    assert str(err.value).startswith("entry 1")
+
+
+def test_parse_extraction_entry_failure_message_is_exact():
+    payload = json.dumps({"tables": [{"html_output": MINIMAL}, {"html_output": "<p>nope</p>"}]})
+    with pytest.raises(HtmlParseFailure) as err:
+        parse_extraction_json(payload)
+    assert str(err.value) == "entry 1: no <table> element found"
 
 
 @pytest.mark.parametrize(
@@ -156,7 +161,7 @@ def test_parse_extraction_lone_surrogate_fails(entry):
     assert "\\ud" in payload
     with pytest.raises(HtmlParseFailure, match=r"^entry 1: 'utf-8' codec can't encode") as err:
         parse_extraction_json(payload)
-    assert err.value.entry_index == 1
+    assert str(err.value).startswith("entry 1")
     str(err.value).encode("utf-8")  # the message itself stays writable
 
 
@@ -189,7 +194,7 @@ def test_parse_extraction_span_beyond_html_limit_fails(attr):
     payload = json.dumps({"tables": [{"html_output": f"<table><tr><td {attr}>x</td></tr></table>"}]})
     with pytest.raises(HtmlParseFailure) as err:
         parse_extraction_json(payload)
-    assert err.value.entry_index == 0
+    assert str(err.value).startswith("entry 0")
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +364,14 @@ def test_concat_listing(listing_json):
 def test_concat_single_table_is_identity(listing_json):
     html = json.loads(listing_json)["tables"][0]["html_output"]
     table = parse_html_table(html)
-    result = ExtractionResult(tables=(partial(None, table),))
+    result = (partial(None, table),)
     assert concat_partial_tables(result) == normalize_rectangular(table)
 
 
 def test_concat_pads_to_widest():
     small = Table.from_rows(body=[["a", "b"]], header=[["H1", "H2"]])
     wide = Table.from_rows(body=[["c", "d", "e"]])
-    result = ExtractionResult(tables=(partial(None, small), partial("S", wide)))
+    result = (partial(None, small), partial("S", wide))
     combined = concat_partial_tables(result)
     assert combined.width == 3
     assert texts(combined.body_rows) == [["a", "b", ""], ["S", "", ""], ["c", "d", "e"]]
@@ -405,7 +410,7 @@ def test_concat_spans_cross_part_boundaries():
 
 def test_concat_empty_extraction():
     with pytest.raises(EmptyExtraction):
-        concat_partial_tables(ExtractionResult(tables=()))
+        concat_partial_tables(())
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +528,7 @@ def test_property_flatten_charset(table):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.one_of(st.none(), st.text("AB", min_size=1, max_size=3)), tables()), min_size=1, max_size=4))
 def test_property_concat_row_count(parts):
-    result = ExtractionResult(tables=tuple(partial(tok, t) for tok, t in parts))
+    result = tuple(partial(tok, t) for tok, t in parts)
     combined = concat_partial_tables(result)
     body_rows = sum(len(t.body_rows) for _, t in parts)
     tokens = sum(1 for tok, _ in parts[1:] if tok is not None)
