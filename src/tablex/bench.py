@@ -45,18 +45,15 @@ class Task:
 
 @dataclass
 class TaskOutcome:
+    """One task's row of the report; ``result`` is ``None`` for a failed
+    task, and once ``run_bench`` has written the task's outputs."""
+
     task_id: str
     metrics: MetricReport | None
     error: str | None = None
+    iterations_used: int = 0
+    converged: bool = False
     result: PipelineResult | None = None
-
-    @property
-    def iterations_used(self) -> int:
-        return 0 if self.result is None else self.result.iterations_used
-
-    @property
-    def converged(self) -> bool:
-        return self.result is not None and self.result.converged
 
     def to_dict(self) -> dict:
         return {
@@ -73,6 +70,7 @@ class BenchReport:
     per_task: list[TaskOutcome]
     aggregates: dict
     runtime: dict
+    output_error: OSError | None = None  # the first task's, by id, whose outputs could not be written
 
     def to_dict(self) -> dict:
         return {
@@ -154,6 +152,14 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
     return tasks
 
 
+def dataset_files(tasks: list[Task], fmt: str) -> list[str]:
+    """The files ``ingest_dataset(directory, fmt)`` read ``tasks`` from: the
+    gold tables, and for ``paired-text`` the input texts too."""
+    if fmt != "paired-text":
+        return [task.provenance for task in tasks]
+    return [path for task in tasks for path in (task.provenance, str(Path(task.provenance).with_suffix(".html")))]
+
+
 class _DeadlineBackend:
     """A backend that refuses every call made after its task's deadline."""
 
@@ -189,7 +195,9 @@ def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> TaskOut
         return TaskOutcome(task.id, None, error="timeout")
     except Exception as exc:
         return TaskOutcome(task.id, None, error=f"{type(exc).__name__}: {exc}")
-    return TaskOutcome(task.id, metrics, result=result)
+    return TaskOutcome(
+        task.id, metrics, iterations_used=result.iterations_used, converged=result.converged, result=result
+    )
 
 
 def _mean(values: list[float]) -> float | None:
@@ -201,6 +209,7 @@ def run_bench(
     cfg: PipelineConfig,
     parallelism: int = 1,
     per_task_timeout: float | None = None,
+    outputs: str | Path | None = None,
 ) -> BenchReport:
     """Run the pipeline over every task with a bounded worker pool.
 
@@ -209,14 +218,33 @@ def run_bench(
     excluded from the other metric means. ``per_task_timeout`` counts from
     when a worker starts the task; a backend call made after it fails the
     task, while a call already in progress runs to its end.
+
+    With ``outputs``, the worker that scored a task writes its files there
+    through ``write_task_outputs`` and then drops its ``PipelineResult``,
+    so the batch holds one result per running task, not one per task; a
+    write that fails does not stop the batch, and the first such error by
+    task id is the report's ``output_error``. Without ``outputs``, each
+    outcome keeps its ``result``.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
+    output_errors: dict[str, OSError] = {}
+
+    def run(task: Task) -> TaskOutcome:
+        outcome = _run_task(task, cfg, per_task_timeout)
+        if outputs is not None:
+            try:
+                write_task_outputs([outcome], outputs)
+            except OSError as exc:
+                # without its traceback, the error does not keep the writer's frames alive
+                output_errors[task.id] = exc.with_traceback(None)
+            outcome.result = None
+        return outcome
 
     started = time.perf_counter()
     by_id = sorted(tasks, key=lambda t: t.id)
     with ThreadPoolExecutor(max_workers=parallelism) as executor:
-        ordered = list(executor.map(lambda task: _run_task(task, cfg, per_task_timeout), by_id))
+        ordered = list(executor.map(run, by_id))
     elapsed = time.perf_counter() - started
     print(f"bench: {len(tasks)} tasks in {elapsed:.2f}s", file=sys.stderr)
 
@@ -237,11 +265,13 @@ def run_bench(
         "converged": sum(1 for o in ordered if o.converged),
         "total_iterations": sum(o.iterations_used for o in ordered),
     }
-    return BenchReport(per_task=ordered, aggregates=aggregates, runtime=runtime)
+    output_error = output_errors[min(output_errors)] if output_errors else None
+    return BenchReport(per_task=ordered, aggregates=aggregates, runtime=runtime, output_error=output_error)
 
 
 def write_task_outputs(outcomes: list[TaskOutcome], directory: str | Path) -> None:
-    """Emit the per-task trace JSON plus standalone HTML and CSV tables."""
+    """Emit each outcome's trace JSON plus standalone HTML and CSV tables; an
+    outcome without a ``result`` writes nothing."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for outcome in outcomes:
@@ -250,9 +280,10 @@ def write_task_outputs(outcomes: list[TaskOutcome], directory: str | Path) -> No
         # appended, not with_suffix: tasks "t.1" and "t.2" must not both write "t.html"
         base = str(directory / outcome.task_id)
         payload = outcome.result.to_dict(task_id=outcome.task_id)
+        with open(base + ".trace.json", "w", encoding="utf-8") as trace_file:
+            # PipelineResult.to_json's text, written as it is encoded rather than built whole
+            json.dump(payload, trace_file, indent=2, sort_keys=True)
         final_html = payload["final_html"]  # rendered once, for the trace and the .html file
-        trace_json = json.dumps(payload, indent=2, sort_keys=True)  # PipelineResult.to_json's text
-        del payload  # freed before the writes, as to_json frees it
-        Path(base + ".trace.json").write_text(trace_json, encoding="utf-8")
+        del payload
         Path(base + ".html").write_text(final_html, encoding="utf-8")
         Path(base + ".csv").write_text(serialize_csv(outcome.result.final), encoding="utf-8")

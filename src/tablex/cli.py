@@ -93,12 +93,23 @@ def _ready_output(flag: str, path: str, directory: bool = False) -> None:
     if not directory and Path(path).is_dir():
         raise UsageError(f"{flag} {path}: is a directory")
     try:
-        if directory:  # made by the outputs writer, as after the batch, so perfbench times it as outputs work
+        if directory:  # made by the outputs writer, as in the batch, so perfbench times it as outputs work
             benchmod.write_task_outputs([], path)
         else:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"{flag} {path}: cannot create its directory: {exc.strerror or exc}") from exc
+
+
+def _refuse_dataset_paths(args: argparse.Namespace, tasks: list[benchmod.Task]) -> None:
+    """Refuse an ``--outputs`` that is the dataset directory, whose gold files
+    the task files would overwrite, and a ``--report`` that is a dataset file."""
+    if args.outputs and os.path.exists(args.outputs) and os.path.samefile(args.outputs, args.dir):
+        raise UsageError(f"--outputs {args.outputs}: is the dataset directory")
+    if os.path.exists(args.report) and any(
+        os.path.samefile(args.report, path) for path in benchmod.dataset_files(tasks, args.format)
+    ):
+        raise UsageError(f"--report {args.report}: is a file the dataset was read from")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -159,15 +170,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     tasks = benchmod.ingest_dataset(args.dir, args.format)
     cfg = _pipeline_config(args)
     timeout = args.timeout if args.timeout else (None if args.replay else 120.0)
+    _refuse_dataset_paths(args, tasks)
     _ready_output("--report", args.report)
     if args.outputs:
         if Path(os.path.abspath(args.outputs)).is_relative_to(os.path.abspath(args.report)):
             raise UsageError(f"--outputs {args.outputs}: would turn --report {args.report} into a directory")
         _ready_output("--outputs", args.outputs, directory=True)
-    report = benchmod.run_bench(tasks, cfg, parallelism=args.parallel, per_task_timeout=timeout)
+    report = benchmod.run_bench(
+        tasks, cfg, parallelism=args.parallel, per_task_timeout=timeout, outputs=args.outputs or None
+    )
     Path(args.report).write_text(report.to_json(), encoding="utf-8")
-    if args.outputs:
-        benchmod.write_task_outputs(report.per_task, args.outputs)
+    if report.output_error is not None:
+        raise report.output_error
     errored = report.aggregates["errored"]
     if errored:
         print(f"bench: {errored} task(s) failed", file=sys.stderr)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -614,8 +615,8 @@ def test_cli_lone_surrogate_in_config_is_usage_error(tmp_path, capsys, command):
     assert not report.exists()
 
 
-def bench_argv(data_dir, cache_dir, report, *extra) -> list[str]:
-    return ["bench", str(data_dir), "--format", "csv", "--replay", "--cache-dir", str(cache_dir), "--model", MODEL,
+def bench_argv(data_dir, cache_dir, report, *extra, fmt="csv") -> list[str]:
+    return ["bench", str(data_dir), "--format", fmt, "--replay", "--cache-dir", str(cache_dir), "--model", MODEL,
             "--report", str(report), *extra]  # fmt: skip
 
 
@@ -685,6 +686,126 @@ def test_cli_bench_failing_early_keeps_existing_report(tmp_path, capsys):
     assert cli(bench_argv(tmp_path / "absent", cache_dir, report)) == 1
     capsys.readouterr()
     assert report.read_text() == "previous report"
+
+
+def dataset_as(tmp_path, fmt):
+    """seed_dataset's four tasks with their gold files in ``fmt``; the sources,
+    and so the recorded cache, are the same in every format."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    if fmt != "csv":
+        for path in sorted(data_dir.glob("*.csv")):
+            gold = parse_csv_table(path.read_text())
+            path.unlink()
+            path.with_suffix(".html").write_text(serialize_html(gold))
+            if fmt == "paired-text":
+                path.with_suffix(".txt").write_bytes(flatten_table(gold).raw.encode())
+    return data_dir, cache_dir
+
+
+def counting_runs(monkeypatch) -> list:
+    ran = []
+    original = bench.run_ten
+
+    def counting(source, cfg):
+        ran.append(source)
+        return original(source, cfg)
+
+    monkeypatch.setattr(bench, "run_ten", counting)
+    return ran
+
+
+@pytest.mark.parametrize("fmt", ["csv", "html", "paired-text"])
+@pytest.mark.parametrize("spelling", ["same", "symlink"])
+def test_cli_bench_outputs_that_is_the_dataset_is_usage_error(tmp_path, capsys, monkeypatch, fmt, spelling):
+    """The task files would overwrite the gold files of the same name."""
+    data_dir, cache_dir = dataset_as(tmp_path, fmt)
+    out = data_dir
+    if spelling == "symlink":
+        out = tmp_path / "link"
+        out.symlink_to(data_dir, target_is_directory=True)
+    dataset = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+    ran = counting_runs(monkeypatch)
+    report = tmp_path / "report.json"
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(out), fmt=fmt)) == 2
+    assert capsys.readouterr().err == f"tablex: --outputs {out}: is the dataset directory\n"
+    assert ran == [] and not report.exists()
+    assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == dataset
+
+
+@pytest.mark.parametrize(
+    "fmt, name", [("csv", "t1.csv"), ("html", "t1.html"), ("paired-text", "t1.txt"), ("paired-text", "t1.html")]
+)
+def test_cli_bench_report_that_is_a_dataset_file_is_usage_error(tmp_path, capsys, monkeypatch, fmt, name):
+    data_dir, cache_dir = dataset_as(tmp_path, fmt)
+    dataset = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+    ran = counting_runs(monkeypatch)
+    report = tmp_path / "sub" / ".." / "data" / name
+    (tmp_path / "sub").mkdir()
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(tmp_path / "tasks"), fmt=fmt)) == 2
+    assert capsys.readouterr().err == f"tablex: --report {report}: is a file the dataset was read from\n"
+    assert ran == [] and not (tmp_path / "tasks").exists()
+    assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == dataset
+    # a report beside the dataset that it was not read from is written as before
+    (data_dir / "report.json").write_text("previous report")
+    assert cli(bench_argv(data_dir, cache_dir, data_dir / "report.json", fmt=fmt)) == 0
+    assert len(json.loads((data_dir / "report.json").read_text())["per_task"]) == 4
+
+
+@pytest.mark.parametrize("parallel", ["1", "3"])
+def test_cli_bench_output_write_failure_keeps_report(tmp_path, capsys, parallel):
+    """A task file that cannot be written fails the run with one line naming
+    the first such task by id, after the report with every task is written."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    report, out = tmp_path / "report.json", tmp_path / "outputs"
+    for planted in ("t0.trace.json", "t2.html"):
+        (out / planted).mkdir(parents=True)
+    with pytest.raises(OSError) as expected:
+        open(out / "t0.trace.json", "w")
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(out), "--parallel", parallel)) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("tablex:")] == [f"tablex: {expected.value}"]
+    assert "Traceback" not in err
+    payload = json.loads(report.read_text())
+    assert [task["task_id"] for task in payload["per_task"]] == ["t0", "t1", "t2", "t3"]
+    assert payload["aggregates"]["errored"] == 0
+
+
+def test_cli_bench_outputs_release_each_result(tmp_path, monkeypatch):
+    """With --outputs, a task's PipelineResult is gone once its files are
+    written: with one worker, before the next task starts."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    refs, alive_at_start = [], []
+    original = bench.run_ten
+
+    def tracking(source, cfg):
+        alive_at_start.append([ref() is not None for ref in refs])
+        result = original(source, cfg)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(bench, "run_ten", tracking)
+    argv = bench_argv(data_dir, cache_dir, tmp_path / "r.json", "--outputs", str(tmp_path / "tasks"), "--parallel", "1")
+    assert cli(argv) == 0
+    assert alive_at_start == [[], [False], [False, False], [False, False, False]]
+    assert len(list((tmp_path / "tasks").iterdir())) == 12
+
+
+@pytest.mark.parametrize("parallel", ["1", "3"])
+def test_cli_bench_outputs_match_write_task_outputs(tmp_path, parallel):
+    """The files a bench run writes as its tasks finish are the files
+    write_task_outputs writes from a finished batch."""
+    data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
+    (data_dir / "zz-missing.csv").write_text("Name,Qty\r\nnovel,1\r\nwords,2\r\n")
+    expected = tmp_path / "expected"
+    write_task_outputs(run_bench(ingest_dataset(data_dir, "csv"), replay_config(cache_dir)).per_task, expected)
+    out = tmp_path / "outputs"
+    assert cli(bench_argv(data_dir, cache_dir, tmp_path / "r.json", "--outputs", str(out), "--parallel", parallel)) == 1
+
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    assert len(files(expected)) == 12
+    assert files(out) == files(expected)
 
 
 def test_cli_usage_errors_exit_two(capsys):
