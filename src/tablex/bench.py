@@ -40,20 +40,18 @@ class Task:
     id: str
     source: SourceText
     gold: Table
-    provenance: str
+    files: tuple[str, ...]  # the files ingest read: the gold table's, or the input text's and then the gold's
 
 
 @dataclass
 class TaskOutcome:
-    """One task's row of the report; ``result`` is ``None`` for a failed
-    task, and once ``run_bench`` has written the task's outputs."""
+    """One task's row of the report."""
 
     task_id: str
     metrics: MetricReport | None
     error: str | None = None
     iterations_used: int = 0
     converged: bool = False
-    result: PipelineResult | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +126,7 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
                 continue
             gold = load_table(path)
             source = flatten_table(gold)
-            tasks.append(Task(id=path.stem, source=source, gold=gold, provenance=str(path)))
+            tasks.append(Task(id=path.stem, source=source, gold=gold, files=(str(path),)))
     else:
         for path in sorted(directory.glob("*.txt")):
             gold_path = path.with_suffix(".html")
@@ -139,7 +137,7 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
                     id=path.stem,
                     source=SourceText(read_text(path)),
                     gold=load_table(gold_path),
-                    provenance=str(path),
+                    files=(str(path), str(gold_path)),
                 )
             )
 
@@ -148,16 +146,8 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
     tasks.sort(key=lambda task: task.id)
     for first, second in zip(tasks, tasks[1:]):
         if first.id == second.id:
-            raise UnreadableFile(second.provenance, f"gives task id {second.id!r}, as {first.provenance} does")
+            raise UnreadableFile(second.files[0], f"gives task id {second.id!r}, as {first.files[0]} does")
     return tasks
-
-
-def dataset_files(tasks: list[Task], fmt: str) -> list[str]:
-    """The files ``ingest_dataset(directory, fmt)`` read ``tasks`` from: the
-    gold tables, and for ``paired-text`` the input texts too."""
-    if fmt != "paired-text":
-        return [task.provenance for task in tasks]
-    return [path for task in tasks for path in (task.provenance, str(Path(task.provenance).with_suffix(".html")))]
 
 
 class _DeadlineBackend:
@@ -173,9 +163,9 @@ class _DeadlineBackend:
         return self.backend.complete(prompt)
 
 
-def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> TaskOutcome:
-    """Run and score one task; any failure becomes the task's outcome. The
-    ``timeout`` counts from here, when a worker starts the task."""
+def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> tuple[TaskOutcome, PipelineResult | None]:
+    """Run and score one task; any failure becomes the task's outcome, with
+    no result. The ``timeout`` counts from here, when a worker starts the task."""
     try:
         if timeout is not None:
             deadline = time.monotonic() + timeout
@@ -192,12 +182,11 @@ def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> TaskOut
             hallucination=result.report.hallucination_rate,
         )
     except TaskTimeout:
-        return TaskOutcome(task.id, None, error="timeout")
+        return TaskOutcome(task.id, None, error="timeout"), None
     except Exception as exc:
-        return TaskOutcome(task.id, None, error=f"{type(exc).__name__}: {exc}")
-    return TaskOutcome(
-        task.id, metrics, iterations_used=result.iterations_used, converged=result.converged, result=result
-    )
+        return TaskOutcome(task.id, None, error=f"{type(exc).__name__}: {exc}"), None
+    outcome = TaskOutcome(task.id, metrics, iterations_used=result.iterations_used, converged=result.converged)
+    return outcome, result
 
 
 def _mean(values: list[float]) -> float | None:
@@ -219,26 +208,26 @@ def run_bench(
     when a worker starts the task; a backend call made after it fails the
     task, while a call already in progress runs to its end.
 
-    With ``outputs``, the worker that scored a task writes its files there
-    through ``write_task_outputs`` and then drops its ``PipelineResult``,
-    so the batch holds one result per running task, not one per task; a
-    write that fails does not stop the batch, and the first such error by
-    task id is the report's ``output_error``. Without ``outputs``, each
-    outcome keeps its ``result``.
+    A task's ``PipelineResult`` lives only in the worker that runs it, so
+    the batch holds one result per running task, not one per task. With
+    ``outputs``, the worker that scored a task first writes its files there
+    through ``write_task_outputs``; a failed task writes none. A write that
+    fails does not stop the batch, and the first such error by task id is
+    the report's ``output_error``.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     output_errors: dict[str, OSError] = {}
 
     def run(task: Task) -> TaskOutcome:
-        outcome = _run_task(task, cfg, per_task_timeout)
+        outcome, result = _run_task(task, cfg, per_task_timeout)
         if outputs is not None:
             try:
-                write_task_outputs([outcome], outputs)
+                # called for a failed task too, so a batch whose tasks all fail still makes the directory
+                write_task_outputs([] if result is None else [(task.id, result)], outputs)
             except OSError as exc:
                 # without its traceback, the error does not keep the writer's frames alive
                 output_errors[task.id] = exc.with_traceback(None)
-            outcome.result = None
         return outcome
 
     started = time.perf_counter()
@@ -269,21 +258,19 @@ def run_bench(
     return BenchReport(per_task=ordered, aggregates=aggregates, runtime=runtime, output_error=output_error)
 
 
-def write_task_outputs(outcomes: list[TaskOutcome], directory: str | Path) -> None:
-    """Emit each outcome's trace JSON plus standalone HTML and CSV tables; an
-    outcome without a ``result`` writes nothing."""
+def write_task_outputs(results: list[tuple[str, PipelineResult]], directory: str | Path) -> None:
+    """Emit each (task id, result) pair's trace JSON plus standalone HTML and
+    CSV tables into ``directory``, which is made first, even for no pairs."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for outcome in outcomes:
-        if outcome.result is None:
-            continue
+    for task_id, result in results:
         # appended, not with_suffix: tasks "t.1" and "t.2" must not both write "t.html"
-        base = str(directory / outcome.task_id)
-        payload = outcome.result.to_dict(task_id=outcome.task_id)
+        base = str(directory / task_id)
+        payload = result.to_dict(task_id=task_id)
         with open(base + ".trace.json", "w", encoding="utf-8") as trace_file:
             # PipelineResult.to_json's text, written as it is encoded rather than built whole
             json.dump(payload, trace_file, indent=2, sort_keys=True)
         final_html = payload["final_html"]  # rendered once, for the trace and the .html file
         del payload
         Path(base + ".html").write_text(final_html, encoding="utf-8")
-        Path(base + ".csv").write_text(serialize_csv(outcome.result.final), encoding="utf-8")
+        Path(base + ".csv").write_text(serialize_csv(result.final), encoding="utf-8")

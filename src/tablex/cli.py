@@ -107,7 +107,7 @@ def _refuse_dataset_paths(args: argparse.Namespace, tasks: list[benchmod.Task]) 
     if args.outputs and os.path.exists(args.outputs) and os.path.samefile(args.outputs, args.dir):
         raise UsageError(f"--outputs {args.outputs}: is the dataset directory")
     if os.path.exists(args.report) and any(
-        os.path.samefile(args.report, path) for path in benchmod.dataset_files(tasks, args.format)
+        os.path.samefile(args.report, path) for task in tasks for path in task.files
     ):
         raise UsageError(f"--report {args.report}: is a file the dataset was read from")
 

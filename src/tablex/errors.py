@@ -35,7 +35,8 @@ class BackendFailure(TablexError):
 
 
 class TransportError(BackendFailure):
-    """A live request failed after exhausting its retry budget."""
+    """A live request failed: at once when no retry can mend it, else after
+    exhausting its retry budget."""
 
 
 class ReplayMissError(BackendFailure):

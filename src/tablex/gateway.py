@@ -217,6 +217,8 @@ class LiveBackend:
                         timeout=self.config.timeout,
                     )
             except requests.RequestException as exc:
+                if isinstance(exc, ValueError):  # a malformed endpoint or header, found before any I/O
+                    raise TransportError(f"request failed: {exc}") from exc
                 last_error = exc
                 continue
             if response.status_code == 429 or response.status_code >= 500:

@@ -178,7 +178,8 @@ def test_bench_single_task_perfect(tmp_path):
 def test_bench_half_wrong_em_fifty(tmp_path):
     data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
     tasks = ingest_dataset(data_dir, "csv")
-    report = run_bench(tasks, replay_config(cache_dir), parallelism=2)
+    cfg = replay_config(cache_dir)
+    report = run_bench(tasks, cfg, parallelism=2)
     assert report.aggregates["tasks"] == 4
     assert report.aggregates["em_percent"] == 50.0
     per_em = [o.metrics.em for o in report.per_task]
@@ -186,7 +187,7 @@ def test_bench_half_wrong_em_fifty(tmp_path):
     expected_cvm = sum(o.metrics.cvm for o in report.per_task) / 4
     assert report.aggregates["mean_cvm"] == pytest.approx(expected_cvm)
     for outcome, task in zip(report.per_task, tasks):
-        assert outcome.metrics == metrics.evaluate(outcome.result.final, task.gold, task.source)
+        assert outcome.metrics == metrics.evaluate(run_ten(task.source, cfg).final, task.gold, task.source)
 
 
 def test_bench_scores_each_candidate_once(tmp_path, monkeypatch):
@@ -202,8 +203,10 @@ def test_bench_scores_each_candidate_once(tmp_path, monkeypatch):
             return original(source, table)
 
         monkeypatch.setattr(module, "compute_hallucination", counting)
-    report = run_bench(ingest_dataset(data_dir, "csv"), replay_config(cache_dir), parallelism=2)
-    candidates = [t for o in report.per_task for t in o.result.traces if t.candidate is not None]
+    out = tmp_path / "outputs"
+    run_bench(ingest_dataset(data_dir, "csv"), replay_config(cache_dir), parallelism=2, outputs=out)
+    traces = [t for path in out.glob("*.trace.json") for t in json.loads(path.read_text())["traces"]]
+    candidates = [t for t in traces if t["candidate_html"] is not None]
     assert len(candidates) == 4
     assert len(scored) == len(candidates)
 
@@ -212,7 +215,8 @@ def test_bench_isolates_replay_miss(tmp_path):
     data_dir, cache_dir = seed_dataset(tmp_path)
     (data_dir / "zz-missing.csv").write_text("Name,Qty\r\nnovel,1\r\nwords,2\r\n")
     tasks = ingest_dataset(data_dir, "csv")
-    report = run_bench(tasks, replay_config(cache_dir), parallelism=3)
+    out = tmp_path / "outputs"
+    report = run_bench(tasks, replay_config(cache_dir), parallelism=3, outputs=out)
     assert report.aggregates["tasks"] == 5
     assert report.aggregates["errored"] == 1
     failed = [o for o in report.per_task if o.error]
@@ -221,8 +225,6 @@ def test_bench_isolates_replay_miss(tmp_path):
     assert all(o.metrics is not None for o in report.per_task if not o.error)
     row = failed[0].to_dict()
     assert (row["iterations_used"], row["converged"], row["metrics"]) == (0, False, None)
-    out = tmp_path / "outputs"
-    write_task_outputs(report.per_task, out)
     assert len(list(out.iterdir())) == 12 and not list(out.glob("zz-missing*"))
 
 
@@ -279,17 +281,16 @@ def test_bench_timeout_counts_from_task_start(tmp_path):
 
 def test_write_task_outputs(tmp_path):
     data_dir, cache_dir = seed_dataset(tmp_path)
-    tasks = ingest_dataset(data_dir, "csv")[:1]
-    report = run_bench(tasks, replay_config(cache_dir))
+    task = ingest_dataset(data_dir, "csv")[0]
+    result = run_ten(task.source, replay_config(cache_dir))
     out = tmp_path / "outputs"
-    write_task_outputs(report.per_task, out)
+    write_task_outputs([(task.id, result)], out)
     assert (out / "t0.trace.json").exists()
     assert (out / "t0.html").exists() and (out / "t0.csv").exists()
     html_table = parse_html_table((out / "t0.html").read_text())
     csv_table = parse_csv_table((out / "t0.csv").read_text())
     assert [c.text for c in html_table.body_rows[0]] == [c.text for c in csv_table.body_rows[0]]
     # the .html file reuses the trace's render of the final table; both match their own writers
-    result = report.per_task[0].result
     assert (out / "t0.trace.json").read_bytes() == result.to_json(task_id="t0").encode("utf-8")
     assert (out / "t0.html").read_bytes() == serialize_html(result.final).encode("utf-8")
 
@@ -300,9 +301,9 @@ def test_write_task_outputs_dotted_ids(tmp_path):
         path.rename(data_dir / f"t.{index}.csv")
     tasks = [task for task in ingest_dataset(data_dir, "csv") if task.id.startswith("t.")]
     assert [task.id for task in tasks] == ["t.1", "t.2"]
-    report = run_bench(tasks, replay_config(cache_dir))
+    cfg = replay_config(cache_dir)
     out = tmp_path / "outputs"
-    write_task_outputs(report.per_task, out)
+    write_task_outputs([(task.id, run_ten(task.source, cfg)) for task in tasks], out)
     assert sorted(p.name for p in out.iterdir()) == [
         "t.1.csv", "t.1.html", "t.1.trace.json", "t.2.csv", "t.2.html", "t.2.trace.json",
     ]  # fmt: skip
@@ -770,9 +771,11 @@ def test_cli_bench_output_write_failure_keeps_report(tmp_path, capsys, parallel)
     assert payload["aggregates"]["errored"] == 0
 
 
-def test_cli_bench_outputs_release_each_result(tmp_path, monkeypatch):
-    """With --outputs, a task's PipelineResult is gone once its files are
-    written: with one worker, before the next task starts."""
+@pytest.mark.parametrize("outputs", [True, False], ids=["outputs", "no-outputs"])
+def test_cli_bench_outputs_release_each_result(tmp_path, monkeypatch, outputs):
+    """With or without --outputs, a task's PipelineResult is gone once the
+    task is done (with --outputs, once its files are written): with one
+    worker, before the next task starts."""
     data_dir, cache_dir = seed_dataset(tmp_path)
     refs, alive_at_start = [], []
     original = bench.run_ten
@@ -784,20 +787,24 @@ def test_cli_bench_outputs_release_each_result(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(bench, "run_ten", tracking)
-    argv = bench_argv(data_dir, cache_dir, tmp_path / "r.json", "--outputs", str(tmp_path / "tasks"), "--parallel", "1")
-    assert cli(argv) == 0
+    extra = ["--outputs", str(tmp_path / "tasks")] if outputs else []
+    assert cli(bench_argv(data_dir, cache_dir, tmp_path / "r.json", *extra, "--parallel", "1")) == 0
     assert alive_at_start == [[], [False], [False, False], [False, False, False]]
-    assert len(list((tmp_path / "tasks").iterdir())) == 12
+    if outputs:
+        assert len(list((tmp_path / "tasks").iterdir())) == 12
 
 
 @pytest.mark.parametrize("parallel", ["1", "3"])
 def test_cli_bench_outputs_match_write_task_outputs(tmp_path, parallel):
     """The files a bench run writes as its tasks finish are the files
-    write_task_outputs writes from a finished batch."""
+    write_task_outputs writes from each scored task's run_ten result; the
+    task that fails writes none."""
     data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
     (data_dir / "zz-missing.csv").write_text("Name,Qty\r\nnovel,1\r\nwords,2\r\n")
     expected = tmp_path / "expected"
-    write_task_outputs(run_bench(ingest_dataset(data_dir, "csv"), replay_config(cache_dir)).per_task, expected)
+    cfg = replay_config(cache_dir)
+    scored = [task for task in ingest_dataset(data_dir, "csv") if task.id != "zz-missing"]
+    write_task_outputs([(task.id, run_ten(task.source, cfg)) for task in scored], expected)
     out = tmp_path / "outputs"
     assert cli(bench_argv(data_dir, cache_dir, tmp_path / "r.json", "--outputs", str(out), "--parallel", parallel)) == 1
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -377,6 +378,18 @@ def test_live_client_error_is_not_retried(monkeypatch):
     with pytest.raises(TransportError):
         LiveBackend(CONFIG).complete("prompt")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("endpoint", ["not-a-url", "http://", "ftp://example.invalid/x"])
+def test_live_malformed_endpoint_is_not_retried(monkeypatch, endpoint):
+    """requests refuses these URLs before any I/O, so no retry could succeed:
+    the call fails at once, without backoff sleeps."""
+    monkeypatch.setenv("TEN_API_KEY", "secret")
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    with pytest.raises(TransportError):
+        LiveBackend(replace(CONFIG, endpoint=endpoint)).complete("prompt")
+    assert sleeps == []
 
 
 @pytest.mark.parametrize("content", [None, 42, ["text"]], ids=["null", "number", "list"])

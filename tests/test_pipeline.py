@@ -7,7 +7,7 @@ import typing
 import pytest
 
 import tablex.pipeline
-from tablex.bench import TaskOutcome, write_task_outputs
+from tablex.bench import write_task_outputs
 from tablex.checker import ConvergenceThresholds, Rule, run_sanity_check
 from tablex.errors import NoCandidateProduced, TransportError
 from tablex.gateway import (
@@ -170,7 +170,7 @@ def test_chosen_trace_need_not_be_the_last(tmp_path):
     assert [trace["candidate_html"] is None for trace in payload["traces"]] == [False, True, False]
     assert best.chosen is best.traces[0] and best.final == strong
     assert payload["final_html"] == payload["traces"][0]["candidate_html"] == serialize_html(strong)
-    write_task_outputs([TaskOutcome("t", None, result=best)], tmp_path)
+    write_task_outputs([("t", best)], tmp_path)
     assert (tmp_path / "t.html").read_bytes().decode("utf-8") == payload["final_html"]
     assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == serialize_csv(strong)
 
