@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import HtmlParseFailure, NoTasksFound, TaskTimeout, UnreadableFile
@@ -33,6 +34,7 @@ from .pipeline import PipelineConfig, PipelineResult, run_ten
 
 SCHEMA_VERSION = 1
 DATASET_FORMATS = ("html", "csv", "paired-text")
+TASK_FILE_SUFFIXES = (".trace.json", ".html", ".csv")  # each task's files under --outputs: <id><suffix>
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class BenchReport:
     per_task: list[TaskOutcome]
     aggregates: dict
     runtime: dict
-    output_error: OSError | None = None  # the first task's, by id, whose outputs could not be written
 
     def to_dict(self) -> dict:
         return {
@@ -163,9 +164,9 @@ class _DeadlineBackend:
         return self.backend.complete(prompt)
 
 
-def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> tuple[TaskOutcome, PipelineResult | None]:
-    """Run and score one task; any failure becomes the task's outcome, with
-    no result. The ``timeout`` counts from here, when a worker starts the task."""
+def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None, outputs: str | Path | None) -> TaskOutcome:
+    """Run, score and, with ``outputs``, write one task; any failure, a write's
+    too, becomes its outcome. The ``timeout`` counts from when a worker starts it."""
     try:
         if timeout is not None:
             deadline = time.monotonic() + timeout
@@ -181,12 +182,13 @@ def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None) -> tuple[T
             coverage=result.report.coverage,
             hallucination=result.report.hallucination_rate,
         )
+        if outputs is not None:
+            write_task_outputs([(task.id, result)], outputs)
     except TaskTimeout:
-        return TaskOutcome(task.id, None, error="timeout"), None
+        return TaskOutcome(task.id, None, error="timeout")
     except Exception as exc:
-        return TaskOutcome(task.id, None, error=f"{type(exc).__name__}: {exc}"), None
-    outcome = TaskOutcome(task.id, metrics, iterations_used=result.iterations_used, converged=result.converged)
-    return outcome, result
+        return TaskOutcome(task.id, None, error=f"{type(exc).__name__}: {exc}")
+    return TaskOutcome(task.id, metrics, iterations_used=result.iterations_used, converged=result.converged)
 
 
 def _mean(values: list[float]) -> float | None:
@@ -210,30 +212,19 @@ def run_bench(
 
     A task's ``PipelineResult`` lives only in the worker that runs it, so
     the batch holds one result per running task, not one per task. With
-    ``outputs``, the worker that scored a task first writes its files there
-    through ``write_task_outputs``; a failed task writes none. A write that
-    fails does not stop the batch, and the first such error by task id is
-    the report's ``output_error``.
+    ``outputs``, which is made before any task starts, the worker that
+    scored a task then writes its files there through ``write_task_outputs``;
+    a failed task writes none. A write that fails fails its task like any
+    other error, and the files written before it stay.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    output_errors: dict[str, OSError] = {}
-
-    def run(task: Task) -> TaskOutcome:
-        outcome, result = _run_task(task, cfg, per_task_timeout)
-        if outputs is not None:
-            try:
-                # called for a failed task too, so a batch whose tasks all fail still makes the directory
-                write_task_outputs([] if result is None else [(task.id, result)], outputs)
-            except OSError as exc:
-                # without its traceback, the error does not keep the writer's frames alive
-                output_errors[task.id] = exc.with_traceback(None)
-        return outcome
-
+    if outputs is not None:
+        write_task_outputs([], outputs)  # made even when every task fails
     started = time.perf_counter()
     by_id = sorted(tasks, key=lambda t: t.id)
     with ThreadPoolExecutor(max_workers=parallelism) as executor:
-        ordered = list(executor.map(run, by_id))
+        ordered = list(executor.map(partial(_run_task, cfg=cfg, timeout=per_task_timeout, outputs=outputs), by_id))
     elapsed = time.perf_counter() - started
     print(f"bench: {len(tasks)} tasks in {elapsed:.2f}s", file=sys.stderr)
 
@@ -254,8 +245,7 @@ def run_bench(
         "converged": sum(1 for o in ordered if o.converged),
         "total_iterations": sum(o.iterations_used for o in ordered),
     }
-    output_error = output_errors[min(output_errors)] if output_errors else None
-    return BenchReport(per_task=ordered, aggregates=aggregates, runtime=runtime, output_error=output_error)
+    return BenchReport(per_task=ordered, aggregates=aggregates, runtime=runtime)
 
 
 def write_task_outputs(results: list[tuple[str, PipelineResult]], directory: str | Path) -> None:
@@ -265,12 +255,12 @@ def write_task_outputs(results: list[tuple[str, PipelineResult]], directory: str
     directory.mkdir(parents=True, exist_ok=True)
     for task_id, result in results:
         # appended, not with_suffix: tasks "t.1" and "t.2" must not both write "t.html"
-        base = str(directory / task_id)
+        trace_path, html_path, csv_path = (str(directory / task_id) + suffix for suffix in TASK_FILE_SUFFIXES)
         payload = result.to_dict(task_id=task_id)
-        with open(base + ".trace.json", "w", encoding="utf-8") as trace_file:
+        with open(trace_path, "w", encoding="utf-8") as trace_file:
             # PipelineResult.to_json's text, written as it is encoded rather than built whole
             json.dump(payload, trace_file, indent=2, sort_keys=True)
         final_html = payload["final_html"]  # rendered once, for the trace and the .html file
         del payload
-        Path(base + ".html").write_text(final_html, encoding="utf-8")
-        Path(base + ".csv").write_text(serialize_csv(result.final), encoding="utf-8")
+        Path(html_path).write_text(final_html, encoding="utf-8")
+        Path(csv_path).write_text(serialize_csv(result.final), encoding="utf-8")

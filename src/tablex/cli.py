@@ -101,15 +101,26 @@ def _ready_output(flag: str, path: str, directory: bool = False) -> None:
         raise UsageError(f"{flag} {path}: cannot create its directory: {exc.strerror or exc}") from exc
 
 
-def _refuse_dataset_paths(args: argparse.Namespace, tasks: list[benchmod.Task]) -> None:
+def _refuse_clashing_paths(args: argparse.Namespace, tasks: list[benchmod.Task]) -> None:
     """Refuse an ``--outputs`` that is the dataset directory, whose gold files
-    the task files would overwrite, and a ``--report`` that is a dataset file."""
+    the task files would overwrite, and a ``--report`` that is a dataset file
+    or a task file under ``--outputs``."""
     if args.outputs and os.path.exists(args.outputs) and os.path.samefile(args.outputs, args.dir):
         raise UsageError(f"--outputs {args.outputs}: is the dataset directory")
     if os.path.exists(args.report) and any(
         os.path.samefile(args.report, path) for task in tasks for path in task.files
     ):
         raise UsageError(f"--report {args.report}: is a file the dataset was read from")
+    if args.outputs:
+        # names first: CLI time is outside the batch, so a report named like no task file costs no path lookup
+        name = os.path.basename(args.report)
+        stems = {name.removesuffix(suffix) for suffix in benchmod.TASK_FILE_SUFFIXES if name.endswith(suffix)}
+        if (
+            stems
+            and any(task.id in stems for task in tasks)
+            and os.path.realpath(os.path.dirname(args.report)) == os.path.realpath(args.outputs)
+        ):
+            raise UsageError(f"--report {args.report}: is a task file that --outputs {args.outputs} would write")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -170,7 +181,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     tasks = benchmod.ingest_dataset(args.dir, args.format)
     cfg = _pipeline_config(args)
     timeout = args.timeout if args.timeout else (None if args.replay else 120.0)
-    _refuse_dataset_paths(args, tasks)
+    _refuse_clashing_paths(args, tasks)
     _ready_output("--report", args.report)
     if args.outputs:
         if Path(os.path.abspath(args.outputs)).is_relative_to(os.path.abspath(args.report)):
@@ -180,8 +191,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         tasks, cfg, parallelism=args.parallel, per_task_timeout=timeout, outputs=args.outputs or None
     )
     Path(args.report).write_text(report.to_json(), encoding="utf-8")
-    if report.output_error is not None:
-        raise report.output_error
     errored = report.aggregates["errored"]
     if errored:
         print(f"bench: {errored} task(s) failed", file=sys.stderr)

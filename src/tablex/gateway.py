@@ -226,9 +226,9 @@ class LiveBackend:
                 continue
             if response.status_code < 200 or response.status_code >= 300:
                 raise TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
-            try:
+            try:  # RecursionError: a body nested deeper than the json module recurses
                 content = response.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise TransportError(f"unexpected response shape: {exc}") from exc
             if not isinstance(content, str):
                 # a stored non-string would make every later read of its fingerprint corrupt

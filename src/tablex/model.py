@@ -42,15 +42,15 @@ class SourceText:
 
 
 class Cell(NamedTuple):
-    """One table cell anchored at grid position (row, col).
+    """One table cell anchored at grid column ``col`` of its row; its row is
+    its position in ``Table.rows``, header rows first, then body rows.
 
     ``text`` is stored verbatim; trimming and whitespace collapsing happen
-    only in explicit normalization steps downstream. ``row`` counts header
-    rows first, then body rows. A cell is a tuple of its five fields.
+    only in explicit normalization steps downstream. A cell is a tuple of
+    its four fields.
     """
 
     text: str
-    row: int
     col: int
     rowspan: int = 1
     colspan: int = 1
@@ -82,7 +82,7 @@ def _place(header_specs: _Specs, body_specs: _Specs) -> "Table":
         for text, rowspan, colspan in row:
             while covered[i][0] <= col:
                 col, i = max(col, covered[i][1]), i + 1
-            cells.append(new(Cell, (text, r, col, rowspan, colspan)))
+            cells.append(new(Cell, (text, col, rowspan, colspan)))
             if rowspan > 1:
                 spans.append((col, col + colspan, r + rowspan - 1))
             col += colspan
@@ -148,7 +148,7 @@ def normalize_rectangular(table: Table) -> Table:
         spans = [span for span in spans if span[2] >= r]
         col, pads = (row[-1].col + row[-1].colspan if row else 0), []
         for first, end, _ in sorted(spans) + [_END]:
-            pads += [Cell("", r, c, 1, 1) for c in range(col, min(first, table.width))]
+            pads += [Cell("", c, 1, 1) for c in range(col, min(first, table.width))]
             col = max(col, end)
         spans += [(c.col, c.col + c.colspan, r + c.rowspan - 1) for c in row if c.rowspan > 1]
         padded.append(row + tuple(pads) if pads else row)
@@ -322,7 +322,7 @@ def _parse_specs(html: str) -> tuple[_Specs, _Specs]:
             parser.close()
     except HtmlParseFailure:
         raise
-    except Exception as exc:  # pragma: no cover - html.parser rarely raises
+    except Exception as exc:  # html.parser's declaration scanner asserts on input such as "<![$x]>"
         raise HtmlParseFailure(f"html parser error: {exc}") from exc
     if parser.stage == "before":
         raise HtmlParseFailure("no <table> element found")

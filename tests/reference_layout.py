@@ -37,7 +37,7 @@ def _layout(
         for text, rowspan, colspan in row:
             while occupied.get((r, col)):
                 col += 1
-            cells.append(Cell(text, r, col, rowspan, colspan))
+            cells.append(Cell(text, col, rowspan, colspan))
             for dr in range(min(rowspan, len(all_specs) - r)):
                 for dc in range(colspan):
                     occupied[(r + dr, col + dc)] = True
@@ -53,7 +53,7 @@ def _layout(
             col = extents[r]
             while col < width:
                 if not occupied.get((r, col)):
-                    cells.append(Cell("", r, col, 1, 1))
+                    cells.append(Cell("", col, 1, 1))
                 col += 1
 
     rows = tuple(tuple(cells) for cells in placed)

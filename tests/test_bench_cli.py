@@ -6,6 +6,7 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
+import requests
 
 import tablex.bench as bench
 import tablex.cli as cli_module
@@ -249,6 +250,24 @@ def test_cli_extract_deeply_nested_transcript_is_corrupt(tmp_path, capsys):
     assert err.startswith("tablex: unreadable transcript ") and err.count("\n") == 1
 
 
+def test_cli_extract_deeply_nested_live_answer_is_transport_error(tmp_path, capsys, monkeypatch):
+    """requests' Response.json() raises RecursionError on a body nested
+    deeper than the json module recurses."""
+
+    def deep_post(url, **kwargs):
+        response = requests.models.Response()
+        response.status_code, response._content, response.encoding = 200, DEEP_JSON.encode(), "utf-8"
+        return response
+
+    monkeypatch.setenv("TEN_API_KEY", "secret")
+    monkeypatch.setattr(gateway.requests, "post", deep_post)
+    (tmp_path / "input.txt").write_text("some words")
+    assert cli(["extract", str(tmp_path / "input.txt"), "--model", MODEL]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tablex: unexpected response shape: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bench_byte_identical_across_parallelism(tmp_path):
     data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
     tasks = ingest_dataset(data_dir, "csv")
@@ -429,6 +448,35 @@ def test_cli_deeply_nested_config_is_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tablex: {path}: not valid JSON: ") and err.count("\n") == 1
+
+
+def test_cli_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    code, path = bad_config_run(tmp_path, '[{"generator": {}}]')
+    assert code == 2
+    assert capsys.readouterr().err == f"tablex: {path}: not a JSON object\n"
+
+
+def test_cli_config_critique_generation_prompt_is_usage_error(tmp_path, capsys):
+    """The critique template is a prompt kind, but not one that generates a table."""
+    code, path = bad_config_run(tmp_path, json.dumps({"pipeline": {"generation_prompt": "critique"}}))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: {path}: ") and err.endswith(" is not a generation prompt\n")
+    assert err.count("\n") == 1
+
+
+def test_cli_endpoint_reaches_the_generator(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"generator": {"endpoint": "http://localhost:1/from-config"}}))
+    argv = ["extract", "input.txt", "--config", str(config_path), "--endpoint", "http://localhost:1/from-flag"]
+    cfg = _pipeline_config(build_parser().parse_args(argv))
+    assert cfg.generator.config.endpoint == "http://localhost:1/from-flag"
+
+
+@pytest.mark.parametrize("flag, keep", [([], False), (["--last-iteration"], True)])
+def test_cli_last_iteration_sets_keep_last_iteration(flag, keep):
+    cfg = _pipeline_config(build_parser().parse_args(["extract", "input.txt", *flag]))
+    assert cfg.keep_last_iteration is keep
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -752,23 +800,51 @@ def test_cli_bench_report_that_is_a_dataset_file_is_usage_error(tmp_path, capsys
     assert len(json.loads((data_dir / "report.json").read_text())["per_task"]) == 4
 
 
+@pytest.mark.parametrize("name", ["t0.trace.json", "t1.html", "t3.csv"])
+@pytest.mark.parametrize("spelling", ["same", "symlink"])
+def test_cli_bench_report_that_is_a_task_file_is_usage_error(tmp_path, capsys, monkeypatch, name, spelling):
+    """The report would replace one of the files --outputs writes for a task."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    out = tmp_path / "runs"
+    if spelling == "symlink":
+        (tmp_path / "real").mkdir()
+        out.symlink_to(tmp_path / "real", target_is_directory=True)
+    report = tmp_path / ("real" if spelling == "symlink" else "runs") / name
+    ran = counting_runs(monkeypatch)
+    assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tablex: --report {report}: ") and err.count("\n") == 1
+    assert ran == [] and not report.exists()
+    # a report beside the task files that no task writes is written as before
+    assert cli(bench_argv(data_dir, cache_dir, out / "t9.html", "--outputs", str(out))) == 0
+    assert len(list(out.iterdir())) == 13
+
+
 @pytest.mark.parametrize("parallel", ["1", "3"])
 def test_cli_bench_output_write_failure_keeps_report(tmp_path, capsys, parallel):
-    """A task file that cannot be written fails the run with one line naming
-    the first such task by id, after the report with every task is written."""
+    """A task whose files cannot all be written fails like any other task:
+    its error is in the report, which lists every task, and the other tasks
+    are scored and written."""
     data_dir, cache_dir = seed_dataset(tmp_path)
     report, out = tmp_path / "report.json", tmp_path / "outputs"
     for planted in ("t0.trace.json", "t2.html"):
         (out / planted).mkdir(parents=True)
-    with pytest.raises(OSError) as expected:
-        open(out / "t0.trace.json", "w")
     assert cli(bench_argv(data_dir, cache_dir, report, "--outputs", str(out), "--parallel", parallel)) == 1
     err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("tablex:")] == [f"tablex: {expected.value}"]
-    assert "Traceback" not in err
+    assert "bench: 2 task(s) failed\n" in err
+    assert "tablex:" not in err and "Traceback" not in err
     payload = json.loads(report.read_text())
-    assert [task["task_id"] for task in payload["per_task"]] == ["t0", "t1", "t2", "t3"]
-    assert payload["aggregates"]["errored"] == 0
+    per_task = {task["task_id"]: task for task in payload["per_task"]}
+    assert list(per_task) == ["t0", "t1", "t2", "t3"]
+    for failed in ("t0", "t2"):
+        assert per_task[failed]["error"].startswith("IsADirectoryError:")
+        assert per_task[failed]["metrics"] is None
+    for scored in ("t1", "t3"):
+        assert per_task[scored]["error"] is None and per_task[scored]["metrics"] is not None
+    assert payload["aggregates"]["errored"] == 2
+    # t2's trace was written before its .html failed, and stays
+    assert (out / "t2.trace.json").is_file() and not (out / "t2.csv").exists()
+    assert all((out / f"{task}{suffix}").is_file() for task in ("t1", "t3") for suffix in bench.TASK_FILE_SUFFIXES)
 
 
 @pytest.mark.parametrize("outputs", [True, False], ids=["outputs", "no-outputs"])

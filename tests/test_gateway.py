@@ -380,6 +380,39 @@ def test_live_client_error_is_not_retried(monkeypatch):
     assert len(calls) == 1
 
 
+def test_live_connection_error_is_retried_after_a_backoff(monkeypatch):
+    monkeypatch.setenv("TEN_API_KEY", "secret")
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    ok = FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
+    answers = iter([gateway.requests.ConnectionError("refused"), ok])
+
+    def fake_post(url, **kwargs):
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    assert LiveBackend(CONFIG).complete("prompt") == "ok"
+    assert sleeps == [0.5]
+
+
+def test_live_answer_without_choices_is_transport_error(monkeypatch):
+    monkeypatch.setenv("TEN_API_KEY", "secret")
+    sleeps, calls = [], []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+
+    def fake_post(url, **kwargs):
+        calls.append(url)
+        return FakeResponse(payload={"choices": []})
+
+    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    with pytest.raises(TransportError, match="^unexpected response shape: "):
+        LiveBackend(CONFIG).complete("prompt")
+    assert len(calls) == 1 and sleeps == []
+
+
 @pytest.mark.parametrize("endpoint", ["not-a-url", "http://", "ftp://example.invalid/x"])
 def test_live_malformed_endpoint_is_not_retried(monkeypatch, endpoint):
     """requests refuses these URLs before any I/O, so no retry could succeed:
