@@ -23,8 +23,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Protocol
 
-import requests
-
 from .errors import AuthMissingError, CorruptTranscript, MissingSlot, ReplayMissError, StoreWriteFailure, TransportError
 from .errors import check_fields
 
@@ -190,6 +188,8 @@ class LiveBackend:
         self._gate = threading.Semaphore(MAX_IN_FLIGHT)
 
     def complete(self, prompt: str) -> str:
+        import requests  # here, not at module scope: replay, check and eval never load the HTTP stack
+
         if not prompt:
             raise TransportError("prompt is empty")
         key = os.environ.get(self.config.api_key_env)

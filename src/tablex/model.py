@@ -323,7 +323,8 @@ def _parse_specs(html: str) -> tuple[_Specs, _Specs]:
     except HtmlParseFailure:
         raise
     except Exception as exc:  # html.parser's declaration scanner asserts on input such as "<![$x]>"
-        raise HtmlParseFailure(f"html parser error: {exc}") from exc
+        if parser.stage != "done":  # markup after the first </table> is never read
+            raise HtmlParseFailure(f"html parser error: {exc}") from exc
     if parser.stage == "before":
         raise HtmlParseFailure("no <table> element found")
     if parser.unbalanced():

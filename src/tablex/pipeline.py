@@ -40,7 +40,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         check_fields(self)
         if self.generation_prompt not in GENERATION_KINDS:
-            raise ValueError(f"{self.generation_prompt} is not a generation prompt")
+            prompt = self.generation_prompt
+            value = prompt.value if isinstance(prompt, PromptKind) else prompt  # as the config spells it
+            raise ValueError(f"{value!r} is not a generation prompt")
 
 
 @dataclass

@@ -151,7 +151,8 @@ def _parse_specs(html: str) -> tuple[_Specs, _Specs]:
     except HtmlParseFailure:
         raise
     except Exception as exc:  # pragma: no cover - html.parser rarely raises
-        raise HtmlParseFailure(f"html parser error: {exc}") from exc
+        if not parser._done:  # markup after the first </table> is never read
+            raise HtmlParseFailure(f"html parser error: {exc}") from exc
     if not parser.saw_table:
         raise HtmlParseFailure("no <table> element found")
     if parser.unbalanced():

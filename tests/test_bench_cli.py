@@ -11,7 +11,6 @@ import requests
 import tablex.bench as bench
 import tablex.cli as cli_module
 import tablex.checker as checker
-import tablex.gateway as gateway
 import tablex.metrics as metrics
 from tablex.bench import ingest_dataset, run_bench, write_task_outputs
 from tablex.cli import _pipeline_config, build_parser, cli
@@ -260,7 +259,7 @@ def test_cli_extract_deeply_nested_live_answer_is_transport_error(tmp_path, caps
         return response
 
     monkeypatch.setenv("TEN_API_KEY", "secret")
-    monkeypatch.setattr(gateway.requests, "post", deep_post)
+    monkeypatch.setattr(requests, "post", deep_post)
     (tmp_path / "input.txt").write_text("some words")
     assert cli(["extract", str(tmp_path / "input.txt"), "--model", MODEL]) == 1
     err = capsys.readouterr().err
@@ -463,6 +462,11 @@ def test_cli_config_critique_generation_prompt_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"tablex: {path}: ") and err.endswith(" is not a generation prompt\n")
     assert err.count("\n") == 1
+
+
+def test_cli_config_generation_prompt_error_names_the_config_value(tmp_path, capsys):
+    bad_config_run(tmp_path, json.dumps({"pipeline": {"generation_prompt": "critique"}}))
+    assert "'critique' is not a generation prompt" in capsys.readouterr().err
 
 
 def test_cli_endpoint_reaches_the_generator(tmp_path):
@@ -1121,7 +1125,7 @@ def test_cli_extract_record_then_replay(tmp_path, monkeypatch):
         return SimpleNamespace(status_code=200, json=lambda: {"choices": [{"message": {"content": content}}]})
 
     monkeypatch.setenv("TEN_API_KEY", "secret")
-    monkeypatch.setattr(gateway.requests, "post", live_post)
+    monkeypatch.setattr(requests, "post", live_post)
     (tmp_path / "input.txt").write_bytes(b"Part Qty Price\r\nbolt 102 4.50\r\nnut 300 7.25")
     cache = tmp_path / "cache"
     base = ["extract", str(tmp_path / "input.txt"), "--cache-dir", str(cache), "--model", MODEL, "--out", "json"]
@@ -1136,7 +1140,7 @@ def test_cli_extract_record_then_replay(tmp_path, monkeypatch):
     def offline(*args, **kwargs):
         raise AssertionError("replay must not reach the network")
 
-    monkeypatch.setattr(gateway.requests, "post", offline)
+    monkeypatch.setattr(requests, "post", offline)
     assert cli(base + ["--replay", "--output", str(tmp_path / "replayed.json")]) == 0
     assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "recorded.json").read_bytes()
 

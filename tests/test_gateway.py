@@ -6,6 +6,7 @@ import threading
 from dataclasses import replace
 
 import pytest
+import requests
 
 import tablex.gateway as gateway
 from tablex.errors import (
@@ -327,7 +328,7 @@ def test_live_happy_path(monkeypatch):
         seen.update(url=url, payload=json, headers=headers, timeout=timeout)
         return FakeResponse(payload={"choices": [{"message": {"content": "hi"}}]})
 
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     assert LiveBackend(CONFIG).complete("prompt") == "hi"
     assert seen["headers"]["Authorization"] == "Bearer secret"
     assert seen["payload"]["model"] == "test-model"
@@ -346,7 +347,7 @@ def test_live_retries_then_succeeds(monkeypatch):
         calls.append(url)
         return next(responses)
 
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     assert LiveBackend(CONFIG).complete("prompt") == "ok"
     assert len(calls) == 2
 
@@ -360,7 +361,7 @@ def test_live_transport_after_retries(monkeypatch):
         calls.append(url)
         return FakeResponse(status_code=503)
 
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(TransportError):
         LiveBackend(CONFIG).complete("prompt")
     assert len(calls) == CONFIG.retries + 1
@@ -374,7 +375,7 @@ def test_live_client_error_is_not_retried(monkeypatch):
         calls.append(url)
         return FakeResponse(status_code=400, text="bad request")
 
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(TransportError):
         LiveBackend(CONFIG).complete("prompt")
     assert len(calls) == 1
@@ -385,7 +386,7 @@ def test_live_connection_error_is_retried_after_a_backoff(monkeypatch):
     sleeps = []
     monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
     ok = FakeResponse(payload={"choices": [{"message": {"content": "ok"}}]})
-    answers = iter([gateway.requests.ConnectionError("refused"), ok])
+    answers = iter([requests.ConnectionError("refused"), ok])
 
     def fake_post(url, **kwargs):
         answer = next(answers)
@@ -393,7 +394,7 @@ def test_live_connection_error_is_retried_after_a_backoff(monkeypatch):
             raise answer
         return answer
 
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     assert LiveBackend(CONFIG).complete("prompt") == "ok"
     assert sleeps == [0.5]
 
@@ -407,7 +408,7 @@ def test_live_answer_without_choices_is_transport_error(monkeypatch):
         calls.append(url)
         return FakeResponse(payload={"choices": []})
 
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(TransportError, match="^unexpected response shape: "):
         LiveBackend(CONFIG).complete("prompt")
     assert len(calls) == 1 and sleeps == []
@@ -434,7 +435,7 @@ def test_record_rejects_non_string_content(tmp_path, monkeypatch, content):
     def fake_post(url, **kwargs):
         return FakeResponse(payload={"choices": [{"message": {"content": content}}]})
 
-    monkeypatch.setattr(gateway.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     backend = build_backend(CONFIG, "record", tmp_path)
     with pytest.raises(TransportError):
         backend.complete("prompt")

@@ -156,6 +156,21 @@ def test_parse_extraction_html_parser_error_is_html_parse_failure(html):
         assert isinstance(part.body, tuple)
 
 
+@pytest.mark.parametrize("tail", ["<![ x", "<![$x]>"])
+def test_markup_after_the_first_table_never_fails_the_entry(tail):
+    """Only the first <table> is read, so an html.parser error in what
+    follows its </table> keeps its rows; the reference parser agrees. An
+    error inside the table, or a section left open at </table>, still
+    fails the entry."""
+    table = "<table><tr><td>a</td></tr></table>"
+    [part] = parse_extraction_json(json.dumps({"tables": [{"html_output": table + tail}]}))
+    assert part.header == () and part.body == ((("a", 1, 1),),)
+    assert reference_parse._parse_specs(table + tail) == (part.header, part.body)
+    for html in ["<table><tr><td>a</td></tr>" + tail, "<table><thead><tr><td>a</td></tr></table>" + tail]:
+        with pytest.raises(HtmlParseFailure, match="^entry 0: "):
+            parse_extraction_json(json.dumps({"tables": [{"html_output": html}]}))
+
+
 def test_parse_extraction_entry_failure_carries_index():
     payload = json.dumps(
         {"tables": [{"html_output": MINIMAL}, {"html_output": "<p>nope</p>"}]}
