@@ -33,7 +33,7 @@ from .model import (
 from .pipeline import PipelineConfig, PipelineResult, run_ten
 
 SCHEMA_VERSION = 1
-DATASET_FORMATS = ("html", "csv", "paired-text")
+DATASET_FORMATS = {"html": (".html", ".htm"), "csv": (".csv",), "paired-text": (".txt",)}
 TASK_FILE_SUFFIXES = (".trace.json", ".html", ".csv")  # each task's files under --outputs: <id><suffix>
 
 
@@ -84,12 +84,14 @@ class BenchReport:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; a read or decode failure is ``UnreadableFile``."""
+    """A UTF-8 file's text less one leading byte-order mark (U+FEFF); a read or decode failure is ``UnreadableFile``."""
     # bytes + decode: universal-newline translation must not rewrite CRLF
     # sources, which would shift coverage and replay fingerprints
     try:
-        return Path(path).read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise UnreadableFile(str(path), exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError as exc:
         raise UnreadableFile(str(path), str(exc)) from exc
 
 
@@ -99,19 +101,17 @@ def load_table(path: str | Path) -> Table:
     text = read_text(path)
     try:
         if Path(path).suffix.lower() == ".csv":
-            return parse_csv_table(text.removeprefix("\ufeff"))  # a byte-order mark is not header text
+            return parse_csv_table(text)
         return normalize_rectangular(parse_html_table(text))
     except (csv.Error, HtmlParseFailure) as exc:
         raise UnreadableFile(str(path), f"cannot parse table: {exc}") from exc
 
 
 def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
-    """Load benchmark tasks from a directory.
-
-    ``html``/``csv`` load gold tables and synthesize the input by
-    flattening them; ``paired-text`` loads (<id>.txt, <id>.html) pairs
-    as-is. Tasks come back sorted by id; two files that give one id (such
-    as ``t1.html`` and ``t1.htm``) are ``UnreadableFile``.
+    """Load benchmark tasks from a directory, one per file whose suffix, in any case, ``DATASET_FORMATS[fmt]``
+    lists. ``html``/``csv`` flatten the gold table into the input; ``paired-text`` reads <id>.txt's gold from
+    <id>.html, then the text, both through ``read_text``. Tasks come back sorted by id; two files that give
+    one id (such as ``t1.html`` and ``t1.htm``) are ``UnreadableFile``.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -119,28 +119,18 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
 
+    paired = fmt == "paired-text"
     tasks: list[Task] = []
-    if fmt in ("html", "csv"):
-        suffixes = (".html", ".htm") if fmt == "html" else (".csv",)
-        for path in sorted(directory.iterdir()):
-            if path.suffix.lower() not in suffixes:
-                continue
-            gold = load_table(path)
-            source = flatten_table(gold)
-            tasks.append(Task(id=path.stem, source=source, gold=gold, files=(str(path),)))
-    else:
-        for path in sorted(directory.glob("*.txt")):
-            gold_path = path.with_suffix(".html")
-            if not gold_path.exists():
-                raise UnreadableFile(str(path), "no matching gold .html file")
-            tasks.append(
-                Task(
-                    id=path.stem,
-                    source=SourceText(read_text(path)),
-                    gold=load_table(gold_path),
-                    files=(str(path), str(gold_path)),
-                )
-            )
+    for path in sorted(directory.iterdir()):
+        if path.suffix.lower() not in DATASET_FORMATS[fmt]:
+            continue
+        gold_path = path.with_suffix(".html") if paired else path
+        if paired and not gold_path.exists():
+            raise UnreadableFile(str(path), "no matching gold .html file")
+        gold = load_table(gold_path)
+        source = SourceText(read_text(path)) if paired else flatten_table(gold)
+        files = (str(path), str(gold_path)) if paired else (str(path),)
+        tasks.append(Task(id=path.stem, source=source, gold=gold, files=files))
 
     if not tasks:
         raise NoTasksFound(f"no {fmt} tasks under {directory}")

@@ -424,8 +424,9 @@ def parse_extraction_json(text: str) -> tuple[PartialTable, ...]:
 
     Accepts both the dollar-quoted and bare spellings of the envelope keys,
     strips markdown code fences, and ignores prose around the JSON object.
-    Other keys, such as ``$row_delimiter$``, are ignored. Text that UTF-8
-    cannot encode, such as a lone surrogate, is an ``HtmlParseFailure``.
+    Other keys, such as ``$row_delimiter$``, are ignored, and so is a blank
+    starting token. Text that UTF-8 cannot encode, such as a lone surrogate,
+    is an ``HtmlParseFailure``.
     """
     obj = _locate_json_object(text)
     if "tables" not in obj:
@@ -444,6 +445,7 @@ def parse_extraction_json(text: str) -> tuple[PartialTable, ...]:
         token = _entry_field(entry, "starting_token")
         if token is not None and not isinstance(token, str):
             token = str(token)
+        token = token if token and token.strip() else None  # a blank token marks no partition
         try:
             (html + (token or "")).encode("utf-8")  # a lone surrogate ("\ud800") cannot be written out
             header, body = _parse_specs(html)
@@ -490,11 +492,15 @@ def flatten_table(table: Table) -> SourceText:
 
 
 def serialize_csv(table: Table) -> str:
-    """Every cell positionally, comma-joined with minimal quoting, CRLF rows."""
+    """One field per grid column, ``""`` where no cell is anchored (a span covers it),
+    as ``Table.body_columns`` lays out the body; minimal quoting, CRLF rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     for row in table.rows:
-        writer.writerow([cell.text for cell in row])
+        fields = [""] * table.width
+        for cell in row:
+            fields[cell.col] = cell.text
+        writer.writerow(fields)
     return buffer.getvalue().rstrip("\r\n")
 
 

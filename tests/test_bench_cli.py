@@ -111,6 +111,30 @@ def test_csv_byte_order_mark_is_not_header_text(tmp_path, capsys):
     assert task.source.raw == flatten_table(gold).raw
 
 
+def test_ingest_paired_text_drops_a_byte_order_mark(tmp_path):
+    gold = simple_gold("apple", "berry")
+    (tmp_path / "t1.txt").write_text(flatten_table(gold).raw, encoding="utf-8-sig", newline="")
+    (tmp_path / "t1.html").write_text(serialize_html(gold), encoding="utf-8-sig")
+    [task] = ingest_dataset(tmp_path, "paired-text")
+    assert task.source.raw == flatten_table(gold).raw and task.gold == gold
+
+
+def test_ingest_paired_text_matches_txt_in_any_case(tmp_path):
+    gold = simple_gold("apple", "berry")
+    (tmp_path / "T1.TXT").write_text(flatten_table(gold).raw)
+    (tmp_path / "T1.html").write_text(serialize_html(gold))
+    [task] = ingest_dataset(tmp_path, "paired-text")
+    assert task.id == "T1" and task.files == (str(tmp_path / "T1.TXT"), str(tmp_path / "T1.html"))
+
+
+def test_ingest_paired_text_reads_the_gold_first(tmp_path):
+    (tmp_path / "t1.txt").write_bytes(b"\xff not UTF-8")
+    (tmp_path / "t1.html").write_text("<p>not a table</p>")
+    with pytest.raises(UnreadableFile) as err:
+        ingest_dataset(tmp_path, "paired-text")
+    assert str(err.value).startswith(f"{tmp_path / 't1.html'}: cannot parse table")
+
+
 def test_ingest_empty_dir(tmp_path):
     with pytest.raises(NoTasksFound):
         ingest_dataset(tmp_path, "csv")
@@ -351,6 +375,21 @@ def test_cli_check_reports_merged_cell(tmp_path, capsys):
     code = cli(["check", str(tmp_path / "bad.html"), "--source", str(tmp_path / "src.txt")])
     assert code == 0
     assert "Merged Cell" in capsys.readouterr().out
+
+
+def test_cli_check_source_byte_order_mark_is_not_text(tmp_path, capsys):
+    table = Table.from_rows(header=[["Name", "Age"]], body=[["Bob", "3"]])
+    (tmp_path / "t.html").write_text(serialize_html(table))
+    (tmp_path / "src.txt").write_bytes("\ufeffName Age\r\nBob 3".encode())
+    assert cli(["check", str(tmp_path / "t.html"), "--source", str(tmp_path / "src.txt")]) == 0
+    assert json.loads(capsys.readouterr().out)["coverage"] == 1.0
+
+
+def test_cli_unreadable_file_is_named_once(tmp_path, capsys):
+    (tmp_path / "t.html").write_text(serialize_html(simple_gold("apple", "berry")))
+    missing = str(tmp_path / "missing.txt")
+    assert cli(["check", str(tmp_path / "t.html"), "--source", missing]) == 1
+    assert capsys.readouterr().err == f"tablex: {missing}: No such file or directory\n"
 
 
 def test_cli_extract_output_is_made_ready_before_the_run(tmp_path, capsys, monkeypatch):

@@ -523,6 +523,19 @@ def test_csv_roundtrip_with_quoting():
     assert texts(parsed.body_rows) == [["a,b", 'say "hi"'], ["c", "d"]]
 
 
+def grid_texts(table: Table) -> dict[tuple[int, int], str]:
+    """Each non-empty cell text by its (row, grid column)."""
+    return {(r, cell.col): cell.text for r, row in enumerate(table.rows) for cell in row if cell.text}
+
+
+def test_csv_writes_each_cell_at_its_grid_column():
+    table = Table.from_rows(
+        header=[["k", "v", "w"]], body=[[("A", 2, 1), "1", "2"], ["3", "4"], [("B", 1, 2), "5"]]
+    )
+    assert serialize_csv(table) == "k,v,w\r\nA,1,2\r\n,3,4\r\nB,,5"
+    assert grid_texts(parse_csv_table(serialize_csv(table))) == grid_texts(table)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -574,6 +587,20 @@ def test_property_concat_row_count(parts):
     body_rows = sum(len(t.body_rows) for _, t in parts)
     tokens = sum(1 for tok, _ in parts[1:] if tok is not None)
     assert len(combined.body_rows) == body_rows + tokens
+
+
+@st.composite
+def spanned_tables(draw):
+    cell = st.tuples(CELL_ALPHABET, st.integers(1, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(cell, max_size=4), max_size=5))
+    n_header = draw(st.integers(0, len(rows)))
+    return Table.from_rows(header=rows[:n_header], body=rows[n_header:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanned_tables())
+def test_property_csv_roundtrip_keeps_grid_positions(table):
+    assert grid_texts(parse_csv_table(serialize_csv(table))) == grid_texts(table)
 
 
 SPAN_VALUES = st.one_of(

@@ -71,6 +71,22 @@ def test_converges_first_iteration():
     assert critic.calls == []  # no critique once converged
 
 
+@pytest.mark.parametrize("blank", ["", " \t\r\n"], ids=["empty", "whitespace"])
+def test_blank_starting_token_does_not_block_convergence(blank):
+    """A blank token marks no partition. Made a one-cell row, it is an Empty
+    Row that puts a clean two-part answer's badness at 0.33, over 0.30."""
+    table = Table.from_rows(header=[["Part", "Qty"]], body=[["bolt", "1"], ["nut", "2"]])
+    first = Table.from_rows(header=[["Part", "Qty"]], body=[["bolt", "1"]])
+    entries = [
+        {"$starting_token$": None, "$html_output$": serialize_html(first)},
+        {"$starting_token$": blank, "$html_output$": serialize_html(Table.from_rows(body=[["nut", "2"]]))},
+    ]
+    generator = ScriptedBackend([json.dumps({"tables": entries})])
+    result = run_ten(flatten_table(table), config_for(generator))
+    assert result.converged and result.iterations_used == 1
+    assert result.final == table
+
+
 def test_two_step_merged_cell_repair():
     critique_text = "Split the collapsed Qty/Price values into their own columns."
     generator = ScriptedBackend([envelope(MERGED_TABLE), envelope(FIXED_TABLE)])
