@@ -84,7 +84,8 @@ class BenchReport:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text less one leading byte-order mark (U+FEFF); a read or decode failure is ``UnreadableFile``."""
+    """A UTF-8 file's text less one leading byte-order mark (U+FEFF); a read or decode failure is ``UnreadableFile``.
+    The CLI reads every file through it: dataset files, tables, inputs, ``--source``, ``--config`` and ``--patterns``."""
     # bytes + decode: universal-newline translation must not rewrite CRLF
     # sources, which would shift coverage and replay fingerprints
     try:
@@ -110,8 +111,9 @@ def load_table(path: str | Path) -> Table:
 def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
     """Load benchmark tasks from a directory, one per file whose suffix, in any case, ``DATASET_FORMATS[fmt]``
     lists. ``html``/``csv`` flatten the gold table into the input; ``paired-text`` reads <id>.txt's gold from
-    <id>.html, then the text, both through ``read_text``. Tasks come back sorted by id; two files that give
-    one id (such as ``t1.html`` and ``t1.htm``) are ``UnreadableFile``.
+    <id>.html (its suffix in any case), then the text, both through ``read_text``. Tasks come back sorted by
+    id; two files that give one id (such as ``t1.html`` and ``t1.htm``, or two golds ``t1.html`` and
+    ``t1.HTML``) are ``UnreadableFile``.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -120,13 +122,21 @@ def ingest_dataset(directory: str | Path, fmt: str) -> list[Task]:
         raise ValueError(f"unknown dataset format {fmt!r}")
 
     paired = fmt == "paired-text"
+    entries = sorted(directory.iterdir())
+    golds: dict[str, list[Path]] = {}  # each id's .html files, in any case: a paired-text task's gold
+    for path in entries:
+        if path.suffix.lower() == ".html":
+            golds.setdefault(path.stem, []).append(path)
     tasks: list[Task] = []
-    for path in sorted(directory.iterdir()):
+    for path in entries:
         if path.suffix.lower() not in DATASET_FORMATS[fmt]:
             continue
-        gold_path = path.with_suffix(".html") if paired else path
-        if paired and not gold_path.exists():
+        gold_paths = golds.get(path.stem, []) if paired else [path]
+        if not gold_paths:
             raise UnreadableFile(str(path), "no matching gold .html file")
+        if len(gold_paths) > 1:
+            raise UnreadableFile(str(gold_paths[1]), f"gives task id {path.stem!r}, as {gold_paths[0]} does")
+        gold_path = gold_paths[0]
         gold = load_table(gold_path)
         source = SourceText(read_text(path)) if paired else flatten_table(gold)
         files = (str(path), str(gold_path)) if paired else (str(path),)

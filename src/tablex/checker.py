@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, attrgetter, itemgetter, not_
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_fields
@@ -77,18 +76,15 @@ class EntityType:
 @lru_cache(maxsize=1)
 def default_entity_patterns() -> tuple[EntityType, ...]:
     data = resources.files("tablex").joinpath("data/entity_patterns.json").read_text(encoding="utf-8")
-    return _patterns_from_json(data)
+    return parse_entity_patterns(data)
 
 
-def load_entity_patterns(path: str | Path) -> tuple[EntityType, ...]:
-    """Load an entity pattern set (priority-ordered JSON array) from disk;
-    a malformed set or a pattern that does not compile is a ``ValueError``."""
-    return _patterns_from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def _patterns_from_json(data: str) -> tuple[EntityType, ...]:
+def parse_entity_patterns(text: str) -> tuple[EntityType, ...]:
+    """A pattern set from its JSON text, a priority-ordered array of kind/pattern objects (the CLI
+    reads a ``--patterns`` file with ``bench.read_text``, so this module reads no user file); a
+    malformed set or a pattern that does not compile is a ``ValueError``."""
     try:
-        patterns = tuple(EntityType(e["kind"], e["pattern"]) for e in json.loads(data))
+        patterns = tuple(EntityType(e["kind"], e["pattern"]) for e in json.loads(text))
         for entity in patterns:
             entity.regex  # compile now, so a pattern that does not compile fails the load
         return patterns

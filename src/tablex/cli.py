@@ -17,27 +17,35 @@ import threading
 from pathlib import Path
 
 from . import bench as benchmod
-from .checker import (
-    ConvergenceThresholds,
-    load_entity_patterns,
-    run_sanity_check,
-)
-from .errors import TablexError, UsageError, check_value
+from .checker import ConvergenceThresholds, parse_entity_patterns, run_sanity_check
+from .errors import TablexError, UnreadableFile, UsageError, check_value
 from .gateway import Backend, BackendConfig, PromptKind, build_backend
 from .metrics import evaluate
 from .model import SourceText, serialize_csv, serialize_html
 from .pipeline import GENERATION_KINDS, PipelineConfig, run_ten
 
 CACHE_DIR_ENV = "TEN_CACHE_DIR"
+# extract --out: how each format renders the loop's result
+OUT_FORMATS = {
+    "html": lambda result: serialize_html(result.final),
+    "csv": lambda result: serialize_csv(result.final),
+    "json": lambda result: result.to_json(),
+}
+
+
+def _read_named_file(path: str) -> str:
+    """``bench.read_text`` for a ``--config`` or ``--patterns`` file; one it cannot read is a usage error."""
+    try:
+        return benchmod.read_text(path)
+    except UnreadableFile as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
+    if path is None:
         return {}
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
+        config = json.loads(_read_named_file(path))
     except (ValueError, RecursionError) as exc:  # bad JSON, or too deep a nesting
         raise UsageError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -47,18 +55,21 @@ def _load_config(path: str | None) -> dict:
 
 def _backend_config(section: dict, args: argparse.Namespace) -> BackendConfig:
     merged = dict(section)
-    if getattr(args, "model", None):
+    if args.model:
         merged["model_id"] = args.model
-    if getattr(args, "endpoint", None):
+    if args.endpoint:
         merged["endpoint"] = args.endpoint
     return BackendConfig(**merged)
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """Build the loop's configuration. An unknown key, a bad value or a
-    cache mode without a cache directory is a usage error, prefixed with
-    the config file's name when one was given."""
-    path = getattr(args, "config", None)
+    """Build the loop's configuration. An empty ``--config`` or ``--cache-dir``
+    is a usage error; so is an unknown key, a bad value or a cache mode without
+    a cache directory, prefixed with the config file's name when one was given."""
+    path = args.config
+    for flag, value in (("--config", path), ("--cache-dir", args.cache_dir)):
+        if value == "":  # as an empty cache_dir in the config file is
+            raise UsageError(f"{flag} must be a non-empty path")
     config = _load_config(path)
     try:
         for key, value in config.items():
@@ -76,9 +87,9 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         if "critic" in config:
             critic = build_backend(BackendConfig(**config["critic"]), mode, cache_dir)
         pipeline_section = dict(config.get("pipeline", {}))
-        if getattr(args, "prompt", None):
+        if args.prompt:
             pipeline_section["generation_prompt"] = args.prompt
-        if getattr(args, "last_iteration", False):
+        if args.last_iteration:
             pipeline_section["keep_last_iteration"] = True
         if "generation_prompt" in pipeline_section:
             pipeline_section["generation_prompt"] = PromptKind(pipeline_section["generation_prompt"])
@@ -141,12 +152,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.output:
         _ready_output("--output", args.output)
     result = run_ten(source, cfg)
-    if args.out == "html":
-        _emit(serialize_html(result.final), args.output)
-    elif args.out == "csv":
-        _emit(serialize_csv(result.final), args.output)
-    else:
-        _emit(result.to_json(), args.output)
+    _emit(OUT_FORMATS[args.out](result), args.output)
     return 0
 
 
@@ -154,8 +160,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     table = benchmod.load_table(args.table)
     source = SourceText(benchmod.read_text(args.source))
     try:
-        patterns = load_entity_patterns(args.patterns) if args.patterns else None
-    except (OSError, ValueError) as exc:
+        patterns = parse_entity_patterns(_read_named_file(args.patterns)) if args.patterns else None
+    except ValueError as exc:
         raise UsageError(f"{args.patterns}: cannot load patterns: {exc}") from exc
     report = run_sanity_check(source, table, patterns=patterns)
     print(report.to_json())
@@ -203,7 +209,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--prompt", choices=sorted(kind.value for kind in GENERATION_KINDS), default=None)
     parser.add_argument("--config", help="JSON config file (backends, thresholds, pipeline)")
     parser.add_argument("--model", help="override the generator model id")
     parser.add_argument("--endpoint", help="override the generator endpoint URL")
@@ -224,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_extract = sub.add_parser("extract", help="reconstruct a table from a text file")
     p_extract.add_argument("input", help="input text file")
-    p_extract.add_argument("--prompt", choices=sorted(kind.value for kind in GENERATION_KINDS), default=None)
-    p_extract.add_argument("--out", choices=("html", "csv", "json"), default="html")
+    p_extract.add_argument("--out", choices=tuple(OUT_FORMATS), default="html")
     p_extract.add_argument("--output", help="write result here instead of stdout")
-    _add_backend_flags(p_extract)
+    _add_pipeline_flags(p_extract)
     p_extract.set_defaults(func=_cmd_extract)
 
     p_check = sub.add_parser("check", help="validate a table against its source text")
@@ -251,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, help="per-task timeout in seconds, from the task's start"
     )
     p_bench.add_argument("--outputs", help="directory for per-task traces and tables")
-    p_bench.add_argument("--prompt", choices=sorted(kind.value for kind in GENERATION_KINDS), default=None)
-    _add_backend_flags(p_bench)
+    _add_pipeline_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
@@ -266,15 +271,9 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (TablexError, OSError) as exc:
         print(f"tablex: {exc}", file=sys.stderr)
-        return 2
-    except TablexError as exc:
-        print(f"tablex: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"tablex: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def main() -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import time
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -125,6 +126,24 @@ def test_ingest_paired_text_matches_txt_in_any_case(tmp_path):
     (tmp_path / "T1.html").write_text(serialize_html(gold))
     [task] = ingest_dataset(tmp_path, "paired-text")
     assert task.id == "T1" and task.files == (str(tmp_path / "T1.TXT"), str(tmp_path / "T1.html"))
+
+
+def test_ingest_paired_text_matches_the_gold_html_in_any_case(tmp_path):
+    gold = simple_gold("apple", "berry")
+    (tmp_path / "T1.TXT").write_text(flatten_table(gold).raw)
+    (tmp_path / "T1.HTML").write_text(serialize_html(gold))
+    [task] = ingest_dataset(tmp_path, "paired-text")
+    assert task.gold == gold and task.files == (str(tmp_path / "T1.TXT"), str(tmp_path / "T1.HTML"))
+
+
+def test_ingest_paired_text_two_golds_for_one_id_is_unreadable(tmp_path):
+    gold = simple_gold("apple", "berry")
+    (tmp_path / "T1.txt").write_text(flatten_table(gold).raw)
+    (tmp_path / "T1.HTML").write_text(serialize_html(gold))
+    (tmp_path / "T1.html").write_text(serialize_html(gold))
+    with pytest.raises(UnreadableFile) as err:
+        ingest_dataset(tmp_path, "paired-text")
+    assert str(err.value) == f"{tmp_path / 'T1.html'}: gives task id 'T1', as {tmp_path / 'T1.HTML'} does"
 
 
 def test_ingest_paired_text_reads_the_gold_first(tmp_path):
@@ -410,6 +429,23 @@ def test_cli_extract_output_is_made_ready_before_the_run(tmp_path, capsys, monke
     assert nested.read_text() == serialize_html(gold) and len(runs) == 1
 
 
+def test_cli_failed_output_write_is_one_line_task_failure(tmp_path, capsys, monkeypatch):
+    gold = simple_gold("alpha", "beta")
+    source = flatten_table(gold)
+    cache_dir = tmp_path / "cache"
+    record_generation(cache_dir, source.raw, envelope(gold))
+    (tmp_path / "input.txt").write_text(source.raw)
+
+    def full_disk(self, *args, **kwargs):
+        raise OSError(28, "No space left on device", str(self))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    assert cli(argv + ["--output", str(tmp_path / "out.html")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tablex: [Errno 28] No space left on device") and err.count("\n") == 1
+
+
 def test_cli_extract_replay_roundtrip(tmp_path, capsys):
     gold = simple_gold("alpha", "beta")
     source = flatten_table(gold)
@@ -532,6 +568,27 @@ def test_cli_unreadable_config_is_usage_error(tmp_path, capsys, kind):
     assert cli(argv + ["--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tablex: {config}: ") and err.count("\n") == 1
+
+
+def test_cli_config_with_a_byte_order_mark_loads(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"pipeline": {"max_iterations": 3}}), encoding="utf-8-sig")
+    cfg = _pipeline_config(build_parser().parse_args(["extract", "input.txt", "--config", str(config_path)]))
+    assert cfg.max_iterations == 3
+
+
+@pytest.mark.parametrize("flag", ["--config", "--cache-dir"])
+def test_cli_empty_path_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag):
+    """An empty flag is refused, not read as no flag: ``--cache-dir ""`` would
+    fall through to $TEN_CACHE_DIR, which this recorded cache would serve."""
+    gold = simple_gold("alpha", "beta")
+    source = flatten_table(gold)
+    record_generation(tmp_path / "cache", source.raw, envelope(gold))
+    (tmp_path / "input.txt").write_text(source.raw)
+    monkeypatch.setenv("TEN_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--model", MODEL, flag, ""]
+    assert cli(argv) == 2
+    assert capsys.readouterr().err == f"tablex: {flag} must be a non-empty path\n"
 
 
 @pytest.mark.parametrize(
@@ -1082,22 +1139,39 @@ def test_cli_check_empty_patterns_type_no_column(tmp_path, capsys):
     assert details == ["column 0 signature outliers row 4: 'x'"]
 
 
+def test_cli_check_patterns_with_a_byte_order_mark_load(tmp_path, capsys):
+    table = Table.from_rows(body=[["AB-12"], ["CD-34"], ["EF-56"], ["GH-78"], ["99"]])
+    (tmp_path / "t.html").write_text(serialize_html(table))
+    (tmp_path / "src.txt").write_text(flatten_table(table).raw)
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text(json.dumps([{"kind": "code", "pattern": "[A-Z]{2}-\\d{2}"}]), encoding="utf-8-sig")
+    argv = ["check", str(tmp_path / "t.html"), "--source", str(tmp_path / "src.txt")]
+    assert cli(argv + ["--patterns", str(patterns)]) == 0
+    details = [v["detail"] for v in json.loads(capsys.readouterr().out)["violations"]]
+    assert details == ["column 0 reads as code but mismatches row 4: '99'"]
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, json.dumps([{"kind": "code"}]), json.dumps([{"kind": "code", "pattern": "(["}]), DEEP_JSON],
-    ids=["missing", "no-pattern", "bad-regex", "deep"],
+    [None, "directory", json.dumps([{"kind": "code"}]), json.dumps([{"kind": "code", "pattern": "(["}]), DEEP_JSON],
+    ids=["missing", "directory", "no-pattern", "bad-regex", "deep"],
 )
 def test_cli_bad_patterns_is_usage_error(tmp_path, capsys, content):
     table = Table.from_rows(body=[["AB-12"], ["CD-34"]])
     (tmp_path / "t.html").write_text(serialize_html(table))
     (tmp_path / "src.txt").write_text(flatten_table(table).raw)
     patterns = tmp_path / "patterns.json"
-    if content is not None:
+    if content == "directory":
+        patterns.mkdir()
+    elif content is not None:
         patterns.write_text(content)
     argv = ["check", str(tmp_path / "t.html"), "--source", str(tmp_path / "src.txt")]
     assert cli(argv + ["--patterns", str(patterns)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tablex: {patterns}: ") and err.count("\n") == 1
+    reasons = {None: "No such file or directory", "directory": "Is a directory"}  # the OS's, with the path once
+    if content in reasons:
+        assert err == f"tablex: {patterns}: {reasons[content]}\n"
 
 
 BAD_INPUTS = {

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tablex.bench import read_text
 from tablex.checker import (
     ConvergenceThresholds,
     EntityType,
@@ -16,7 +17,7 @@ from tablex.checker import (
     compute_hallucination,
     default_entity_patterns,
     is_converged,
-    load_entity_patterns,
+    parse_entity_patterns,
     run_sanity_check,
 )
 from tablex.model import SourceText, Table, flatten_table
@@ -115,7 +116,7 @@ def test_priority_order_is_pattern_order():
 def test_load_entity_patterns_from_file(tmp_path):
     path = tmp_path / "patterns.json"
     path.write_text(json.dumps([{"kind": "digits", "pattern": r"\d+"}]))
-    patterns = load_entity_patterns(path)
+    patterns = parse_entity_patterns(read_text(path))
     assert entity_of(["12", "7"], patterns).kind == "digits"
 
 
