@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 from . import bench as benchmod
@@ -25,6 +26,8 @@ from .model import SourceText, serialize_csv, serialize_html
 from .pipeline import GENERATION_KINDS, PipelineConfig, run_ten
 
 CACHE_DIR_ENV = "TEN_CACHE_DIR"
+# path flags whose empty value is a usage error, not read as no flag (as an empty cache_dir in the config file is)
+PATH_FLAGS = ("config", "cache_dir", "patterns", "source", "output", "outputs")
 # extract --out: how each format renders the loop's result
 OUT_FORMATS = {
     "html": lambda result: serialize_html(result.final),
@@ -63,13 +66,10 @@ def _backend_config(section: dict, args: argparse.Namespace) -> BackendConfig:
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """Build the loop's configuration. An empty ``--config`` or ``--cache-dir``
-    is a usage error; so is an unknown key, a bad value or a cache mode without
-    a cache directory, prefixed with the config file's name when one was given."""
+    """Build the loop's configuration. An unknown key, a bad value or a cache
+    mode without a cache directory is a usage error, prefixed with the config
+    file's name when one was given."""
     path = args.config
-    for flag, value in (("--config", path), ("--cache-dir", args.cache_dir)):
-        if value == "":  # as an empty cache_dir in the config file is
-            raise UsageError(f"{flag} must be a non-empty path")
     config = _load_config(path)
     try:
         for key, value in config.items():
@@ -225,7 +225,9 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(prog="tablex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -270,6 +272,9 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for dest in PATH_FLAGS:
+            if getattr(args, dest, None) == "":
+                raise UsageError(f"--{dest.replace('_', '-')} must be a non-empty path")
         return args.func(args)
     except (TablexError, OSError) as exc:
         print(f"tablex: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ and a cached backend that records unseen requests through a live backend
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -25,6 +24,15 @@ from typing import Protocol
 
 from .errors import AuthMissingError, CorruptTranscript, MissingSlot, ReplayMissError, StoreWriteFailure, TransportError
 from .errors import check_fields
+
+# CPython's built-in SHA-256: importing hashlib loads OpenSSL's libcrypto (about 3.5 MB resident)
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without either
+        from hashlib import sha256
 
 
 class PromptKind(Enum):
@@ -97,7 +105,7 @@ def request_fingerprint(prompt: str, model_id: str, params: dict) -> str:
         ensure_ascii=False,
         separators=(",", ":"),
     )
-    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
+    return sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +144,11 @@ class TranscriptStore:
             raise CorruptTranscript(f'transcript {path} has no "response" string')
         return record
 
-    def put(self, prompt: str, response: str, config: BackendConfig) -> None:
-        """Persist one exchange under its request fingerprint."""
-        fingerprint = request_fingerprint(prompt, config.model_id, config.params)
+    def put(self, prompt: str, response: str, config: BackendConfig, fingerprint: str | None = None) -> None:
+        """Persist one exchange under its request fingerprint; a caller that
+        has just computed it passes it in, so the prompt is hashed once."""
+        if fingerprint is None:
+            fingerprint = request_fingerprint(prompt, config.model_id, config.params)
         record = {
             "fingerprint": fingerprint,
             "prompt": prompt,
@@ -257,7 +267,7 @@ class ReplayBackend:
         response = self.live.complete(prompt)
         if not isinstance(response, str):  # stored, it would make every later read corrupt
             raise TransportError(f"live backend answered {type(response).__name__}, not a string")
-        self.store.put(prompt, response, self.config)
+        self.store.put(prompt, response, self.config, fingerprint)
         return response
 
 

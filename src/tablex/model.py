@@ -161,14 +161,16 @@ def normalize_rectangular(table: Table) -> Table:
 # ---------------------------------------------------------------------------
 
 _SPAN_LIMITS = {"rowspan": 65534, "colspan": 1000}  # HTML's maxima
-# A whole cell, a text run, a start tag or an end tag of the plain dialect;
-# a bare ``<`` opens anything else.
+# A whole row of attribute-free cells, a whole cell, a text run, a start tag
+# or an end tag of the plain dialect; a bare ``<`` opens anything else.
 _STRUCTURAL = "table|thead|tbody|tr|th|td"
 _ATTRS = '((?: [a-z]+="[^"&<>]*")*)'
 _DIALECT_TOKEN = re.compile(
-    rf"<(t[hd]){_ATTRS}>([^<]*)</t[hd]>|([^<]+)|<({_STRUCTURAL}){_ATTRS}>|</({_STRUCTURAL})>|<",
+    r"<tr>((?:<t[hd]>[^<]*</t[hd]>)*)</tr>"
+    rf"|<(t[hd]){_ATTRS}>([^<]*)</t[hd]>|([^<]+)|<({_STRUCTURAL}){_ATTRS}>|</({_STRUCTURAL})>|<",
     re.ASCII | re.IGNORECASE,
 )
+_PLAIN_CELL_TEXT = re.compile("<t[hd]>([^<]*)</t[hd]>", re.ASCII | re.IGNORECASE)
 _DIALECT_ATTR = re.compile(r' ([a-z]+)="([^"]*)"', re.ASCII | re.IGNORECASE)
 
 
@@ -186,7 +188,9 @@ class _TableHtmlParser(HTMLParser):
     in any ASCII case whose attributes are ASCII-letter names, each after
     one space, with double-quoted values free of ``"&<>``. A <th> or <td>
     start tag, its text and a </th> or </td> end tag make one whole-cell
-    token, handled as the three events it stands for. It stops at any
+    token, handled as the three events it stands for; a <tr> start tag,
+    such cells without attributes and a </tr> end tag make one whole-row
+    token, handled as the events of its separate tokens. It stops at any
     other markup, and the input then goes whole to a fresh parser's
     ``feed``. Both call the handlers below with the same events.
     """
@@ -237,8 +241,16 @@ class _TableHtmlParser(HTMLParser):
         True; return False at the first ``<`` that opens anything else,
         leaving this parser part-fed."""
         tokens = map(re.Match.groups, _DIALECT_TOKEN.finditer(html))
-        for cell, cell_attrs, cell_text, text, start, attrs, end in tokens:
-            if cell is not None:
+        for row, cell, cell_attrs, cell_text, text, start, attrs, end in tokens:
+            if row is not None:
+                if self.stage == "inside":  # <tr>, its cells and </tr> in one
+                    self._flush_row()
+                    texts = _PLAIN_CELL_TEXT.findall(row)
+                    if "&" in row:
+                        texts = map(htmllib.unescape, texts)
+                    self._row = [(value, 1, 1) for value in texts]
+                    self._flush_row()
+            elif cell is not None:
                 if self.stage == "inside":  # start tag, data and end tag in one
                     if self._cell is not None:
                         self._flush_cell()

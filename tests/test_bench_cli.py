@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 import weakref
 from pathlib import Path
@@ -589,6 +590,71 @@ def test_cli_empty_path_flag_is_usage_error(tmp_path, capsys, monkeypatch, flag)
     argv = ["extract", str(tmp_path / "input.txt"), "--replay", "--model", MODEL, flag, ""]
     assert cli(argv) == 2
     assert capsys.readouterr().err == f"tablex: {flag} must be a non-empty path\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("check", "--patterns"), ("eval", "--source"), ("extract", "--output"), ("bench", "--outputs")],
+    ids=["check-patterns", "eval-source", "extract-output", "bench-outputs"],
+)
+def test_cli_empty_path_flag_of_a_command_is_usage_error(tmp_path, capsys, command, flag):
+    """Each run would succeed without the flag; its empty value is refused
+    before any file is read or written, not read as no flag."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    gold, source = data_dir / "t0.csv", tmp_path / "source.txt"
+    source.write_text(flatten_table(simple_gold("alpha", "beta")).raw)
+    replay = ["--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    argv = {
+        "check": ["check", str(gold), "--source", str(source)],
+        "eval": ["eval", str(gold), str(gold)],
+        "extract": ["extract", str(source), *replay],
+        "bench": ["bench", str(data_dir), "--format", "csv", "--report", str(tmp_path / "report.json"), *replay],
+    }[command]
+    assert cli(argv) == 0
+    capsys.readouterr()
+    (tmp_path / "report.json").unlink(missing_ok=True)
+    assert cli([*argv, flag, ""]) == 2
+    assert capsys.readouterr() == ("", f"tablex: {flag} must be a non-empty path\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    """``bench``, ``check`` and ``bench`` again with other flags, through the
+    one parser, give the exit codes, output and reports that a fresh parser
+    gives each, and no flag of one call is a default of the next."""
+    data_dir, cache_dir = seed_dataset(tmp_path, with_errors=True)
+    source = tmp_path / "source.txt"
+    source.write_text(flatten_table(simple_gold("alpha", "beta")).raw)
+    replay = ["--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    calls = [
+        ["bench", str(data_dir), "--format", "csv", "--report", str(tmp_path / "r1.json"), *replay,
+         "--parallel", "2", "--timeout", "30", "--outputs", str(tmp_path / "tasks"), "--last-iteration"],
+        ["check", str(data_dir / "t0.csv"), "--source", str(source)],
+        ["bench", str(data_dir), "--format", "csv", "--report", str(tmp_path / "r2.json"), *replay],
+        ["check", str(data_dir / "t0.csv")],  # --source is required: a usage error
+    ]  # fmt: skip
+
+    def run(fresh: bool) -> list:
+        outcomes = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            namespace = vars(build_parser().parse_args(argv)) if argv[0] == "bench" else None
+            code = cli(argv)
+            reports = [path.read_bytes() for path in sorted(tmp_path.glob("r?.json"))]
+            out, err = capsys.readouterr()
+            outcomes.append((code, out, re.sub(r" in [0-9.]+s$", " in …s", err, flags=re.M), namespace, reports))
+            for path in tmp_path.glob("r?.json"):
+                path.unlink()
+        return outcomes
+
+    shared = run(fresh=False)
+    assert build_parser() is build_parser()
+    assert shared == run(fresh=True)
+    assert [code for code, *_ in shared] == [0, 0, 0, 2]
+    first, second = shared[0][3], shared[2][3]
+    assert (first["parallel"], first["timeout"], first["last_iteration"]) == (2, 30.0, True)
+    assert (second["parallel"], second["timeout"], second["outputs"], second["last_iteration"]) == (1, None, None, False)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
-"""The whole-cell token of ``tablex.model``'s dialect tokenizer: a <th> or
-<td> start tag, its text and a </th> or </td> end tag, handled as one event
-equal to the three it stands for. Each edge input must parse as
+"""The whole-cell and whole-row tokens of ``tablex.model``'s dialect
+tokenizer: a <th> or <td> start tag, its text and a </th> or </td> end tag,
+handled as one event equal to the three it stands for, and a <tr> of such
+cells without attributes through its </tr>, equal to the events of its
+separate tokens. Each edge input must parse as
 ``tests/reference_parse.py`` parses it (equal specs, or the same exception
 type and message) and take the path it is listed with; and every table the
 benchmark corpora hold must parse without ``HTMLParser.feed``.
@@ -48,6 +50,24 @@ EDGES = [  # (html, the path that must parse it)
     ("<table><tr><td>a</td>", DIALECT),  # unclosed tags
     ("<table><thead><tr><th>a</th>", DIALECT),
     ("<td>a</td>", DIALECT),  # no <table>
+    # whole rows
+    ("<table><TR><TD>a</TD><Th>b</tH></Tr><tr><td>c</td><td>d</td></tr></table>", DIALECT),
+    ("<table><TR><TD>a", DIALECT),
+    ("<table><tr></tr><tr><td>a</td></tr><tr></tr></table>", DIALECT),
+    ("<table><tr></tr></table>", DIALECT),
+    ("<table><tr><td>a &amp; b</td><td>&lt;c&gt; &#233;&amp</td><td>plain</td></tr></table>", DIALECT),
+    ("<tr><td>pre</td></tr><table><tr><td>a</td></tr></table><tr><td>post</td></tr>", DIALECT),
+    ("<tr><td>pre</td></tr><td>x</td>", DIALECT),  # no <table>
+    ("<table><thead><tr><th>h</th></tr><tr><th>i</th></tr></thead><tr><td>a</td></tr></table>", DIALECT),
+    ("<table><thead><tr><th>h</th></tr><tbody><tr><td>b</td></tr></tbody></table>", DIALECT),
+    ("<table><thead><tr><th>h</th></tr><tr><td>x</td></tr></table>", DIALECT),  # <thead> left open
+    ("<table><tr><td>x<tr><td>a</td></tr></table>", DIALECT),  # after an unclosed <td>
+    ("<table><td>x<tr><td>a</td></tr><td>y</td></table>", DIALECT),
+    ('<table><tr><td>a</td><td rowspan="2">b</td><td>c</td></tr><tr><td>d</td><td>e</td></tr></table>', DIALECT),
+    ('<table><tr><td rowspan="2">a</td><td>b</td></tr><tr><td>c</td></tr></table>', DIALECT),
+    ("<table><tr><td>a</td> <td>b</td></tr><tr> <td>c</td></tr ></table>", FALLBACK),
+    ("<table><tr><td>a</td> <td>b</td>\n</tr></table>", DIALECT),  # text between cells
+    ('<table><tr class="r"><td>a</td></tr></table>', DIALECT),
     (ROW.format("<td>a</td ><td>b</td>"), FALLBACK),
     (ROW.format("<td>a<b>c</td>"), FALLBACK),
     (ROW.format("<td>a<b>"), FALLBACK),

@@ -131,6 +131,24 @@ def test_fingerprint_varies_with_params():
     assert request_fingerprint("other", "m", {"temperature": 0.0}) != base
 
 
+@pytest.mark.parametrize(
+    "prompt",
+    ["plain ASCII prompt", "caf\u00e9 \u2014 \U0001f600 \u8868", "a lone \ud800 surrogate", "", "x\u00e9|" * 50_000],
+    ids=["ascii", "non-ascii", "lone-surrogate", "empty", "200kb"],
+)
+def test_fingerprint_is_hashlib_sha256_of_the_canonical_request(prompt):
+    """The built-in SHA-256 gives hashlib's digest, so caches recorded with
+    either replay under the other."""
+    canonical = json.dumps(
+        {"prompt": prompt, "model_id": "m", "params": {"temperature": 0.0, "max_output_tokens": 8}},
+        sort_keys=True,
+        ensure_ascii=False,
+        separators=(",", ":"),
+    )
+    expected = hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
+    assert request_fingerprint(prompt, "m", {"temperature": 0.0, "max_output_tokens": 8}) == expected
+
+
 # ---------------------------------------------------------------------------
 # Transcript store
 # ---------------------------------------------------------------------------
@@ -254,6 +272,23 @@ def test_record_then_serve_from_cache(tmp_path):
     assert live.calls == 1  # second call served from cache
     replay = ReplayBackend(CONFIG, TranscriptStore(tmp_path))
     assert replay.complete("p") == "live answer"
+
+
+def test_record_hashes_each_exchange_once(tmp_path, monkeypatch):
+    """A record-mode miss hands its fingerprint to the store's write; the
+    store's own ``put(prompt, response, config)`` still hashes for itself."""
+    hashed = []
+    real = gateway.request_fingerprint
+    monkeypatch.setattr(gateway, "request_fingerprint", lambda *args: hashed.append(args[0]) or real(*args))
+    store = TranscriptStore(tmp_path)
+    assert ReplayBackend(CONFIG, store, live=FakeLive()).complete("p") == "live answer"
+    assert hashed == ["p"]
+    store.put("q", "r", CONFIG)
+    assert hashed == ["p", "q"]
+    for prompt in "pq":
+        fingerprint = real(prompt, CONFIG.model_id, CONFIG.params)
+        assert store.get(fingerprint)["fingerprint"] == fingerprint
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 @pytest.mark.parametrize("answer", [None, 42, ["text"]], ids=["null", "number", "list"])
