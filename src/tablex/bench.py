@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -166,7 +165,9 @@ class _DeadlineBackend:
 
 def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None, outputs: str | Path | None) -> TaskOutcome:
     """Run, score and, with ``outputs``, write one task; any failure, a write's
-    too, becomes its outcome. The ``timeout`` counts from when a worker starts it."""
+    too, becomes its outcome. The ``timeout`` counts from when a worker starts it.
+    The loop reads a fresh ``SourceText`` of the task's text, so the token caches
+    its checks fill die with the task rather than stay on ``task.source``."""
     try:
         if timeout is not None:
             deadline = time.monotonic() + timeout
@@ -175,7 +176,7 @@ def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None, outputs: s
                 generator=_DeadlineBackend(cfg.generator, deadline),
                 critic=_DeadlineBackend(cfg.critic, deadline),
             )
-        result = run_ten(task.source, cfg)
+        result = run_ten(SourceText(task.source.raw), cfg)
         # the checker already scored the final table against the source
         metrics = replace(
             evaluate(result.final, task.gold),
@@ -202,7 +203,8 @@ def run_bench(
     per_task_timeout: float | None = None,
     outputs: str | Path | None = None,
 ) -> BenchReport:
-    """Run the pipeline over every task with a bounded worker pool.
+    """Run the pipeline over every task: in id order on the calling thread
+    with one worker, in a pool of ``parallelism`` threads with more.
 
     Per-task failures (transport errors, replay misses, timeouts) are
     recorded on the task and never abort the batch; they score EM 0 and are
@@ -210,12 +212,12 @@ def run_bench(
     when a worker starts the task; a backend call made after it fails the
     task, while a call already in progress runs to its end.
 
-    A task's ``PipelineResult`` lives only in the worker that runs it, so
-    the batch holds one result per running task, not one per task. With
-    ``outputs``, which is made before any task starts, the worker that
-    scored a task then writes its files there through ``write_task_outputs``;
-    a failed task writes none. A write that fails fails its task like any
-    other error, and the files written before it stay.
+    A task's ``PipelineResult`` and its source's token caches live only in
+    the worker that runs it, so the batch holds one of each per running task,
+    not one per task. With ``outputs``, which is made before any task starts,
+    the worker that scored a task then writes its files there through
+    ``write_task_outputs``; a failed task writes none. A write that fails
+    fails its task like any other error, and the files written before it stay.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -223,8 +225,14 @@ def run_bench(
         write_task_outputs([], outputs)  # made even when every task fails
     started = time.perf_counter()
     by_id = sorted(tasks, key=lambda t: t.id)
-    with ThreadPoolExecutor(max_workers=parallelism) as executor:
-        ordered = list(executor.map(partial(_run_task, cfg=cfg, timeout=per_task_timeout, outputs=outputs), by_id))
+    run = partial(_run_task, cfg=cfg, timeout=per_task_timeout, outputs=outputs)
+    if parallelism == 1:  # no pool: its worker thread would get a malloc arena of its own
+        ordered = [run(task) for task in by_id]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so a one-worker run never imports it
+
+        with ThreadPoolExecutor(max_workers=parallelism) as executor:
+            ordered = list(executor.map(run, by_id))
     elapsed = time.perf_counter() - started
     print(f"bench: {len(tasks)} tasks in {elapsed:.2f}s", file=sys.stderr)
 

@@ -26,8 +26,10 @@ from .model import SourceText, serialize_csv, serialize_html
 from .pipeline import GENERATION_KINDS, PipelineConfig, run_ten
 
 CACHE_DIR_ENV = "TEN_CACHE_DIR"
-# path flags whose empty value is a usage error, not read as no flag (as an empty cache_dir in the config file is)
-PATH_FLAGS = ("config", "cache_dir", "patterns", "source", "output", "outputs")
+# path arguments whose empty value is a usage error: an empty flag is not read as no flag (as an empty
+# cache_dir in the config file is), and an empty positional is not read as the working directory
+PATH_ARGS = ("--config", "--cache-dir", "--patterns", "--source", "--output", "--outputs", "--report",
+             "input", "table", "pred", "gold", "dir")  # fmt: skip
 # extract --out: how each format renders the loop's result
 OUT_FORMATS = {
     "html": lambda result: serialize_html(result.final),
@@ -272,9 +274,9 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for dest in PATH_FLAGS:
-            if getattr(args, dest, None) == "":
-                raise UsageError(f"--{dest.replace('_', '-')} must be a non-empty path")
+        for name in PATH_ARGS:
+            if getattr(args, name.lstrip("-").replace("-", "_"), None) == "":
+                raise UsageError(f"{name} must be a non-empty path")
         return args.func(args)
     except (TablexError, OSError) as exc:
         print(f"tablex: {exc}", file=sys.stderr)

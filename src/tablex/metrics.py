@@ -11,6 +11,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .checker import compute_coverage, compute_hallucination
@@ -40,6 +41,7 @@ def _grid(table: Table) -> list[list[str]]:
 
 
 _Grids = tuple[list[list[str]], list[list[str]]]  # (_grid(pred), _grid(gold))
+_layout = itemgetter(1, 2, 3)  # a Cell's (col, rowspan, colspan)
 
 
 def table_node_count(table: Table) -> int:
@@ -153,10 +155,15 @@ def tree_edit_distance(pred: Table, gold: Table, *, grids: _Grids | None = None)
 # ---------------------------------------------------------------------------
 
 
-def exact_match(pred: Table, gold: Table) -> int:
+def exact_match(pred: Table, gold: Table, *, grids: _Grids | None = None) -> int:
     """1 iff the full grids (headers included) agree in shape and in every
-    normalized cell text."""
-    return int(_grid(pred) == _grid(gold))
+    normalized cell text, and every cell also has its counterpart's column,
+    rowspan and colspan. ``grids`` is ``(_grid(pred), _grid(gold))`` when
+    the caller has built them."""
+    rows_pred, rows_gold = grids or (_grid(pred), _grid(gold))
+    # equal grids give both tables the same cells in row order; only then are their layouts compared
+    layouts = (map(_layout, chain.from_iterable(table.rows)) for table in (pred, gold))
+    return int(rows_pred == rows_gold and all(map(eq, *layouts)))
 
 
 def cell_value_match(pred: Table, gold: Table) -> float:
@@ -214,7 +221,7 @@ def evaluate(pred: Table, gold: Table, source: SourceText | None = None) -> Metr
     """Score a prediction against its gold table (and source, if given);
     each table's cells are normalized once, for all four gold metrics."""
     grids = _grid(pred), _grid(gold)
-    em = int(grids[0] == grids[1])
+    em = exact_match(pred, gold, grids=grids)
     return MetricReport(
         em=em,
         ted=0.0 if em else tree_edit_distance(pred, gold, grids=grids),

@@ -319,6 +319,17 @@ def test_bench_byte_identical_across_parallelism(tmp_path):
     assert serial == threaded
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_bench_leaves_no_cache_on_ingested_sources(tmp_path, parallelism):
+    """Each task's loop reads its own SourceText, so the token caches its
+    checks fill die with the task instead of staying on the ingested task."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    tasks = ingest_dataset(data_dir, "csv")
+    report = run_bench(tasks, replay_config(cache_dir), parallelism=parallelism)
+    assert report.aggregates["em_percent"] == 100.0
+    assert [vars(task.source).keys() & {"tokens", "alnum_count"} for task in tasks] == [set()] * 4
+
+
 def test_bench_timeout_counts_from_task_start(tmp_path):
     """With one worker, a task stuck in a slow backend call times out alone:
     each queued task gets its own deadline when it starts, and succeeds."""
@@ -615,6 +626,38 @@ def test_cli_empty_path_flag_of_a_command_is_usage_error(tmp_path, capsys, comma
     (tmp_path / "report.json").unlink(missing_ok=True)
     assert cli([*argv, flag, ""]) == 2
     assert capsys.readouterr() == ("", f"tablex: {flag} must be a non-empty path\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("extract", "input"), ("check", "table"), ("eval", "pred"), ("eval", "gold"), ("bench", "dir"),
+     ("bench", "--report")],
+    ids=["extract-input", "check-table", "eval-pred", "eval-gold", "bench-dir", "bench-report"],
+)  # fmt: skip
+def test_cli_empty_positional_path_is_usage_error(tmp_path, capsys, monkeypatch, command, name):
+    """An empty path is refused before any file is read, not read as the
+    working directory, which here holds a dataset that ``bench`` would run."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    gold, source = str(data_dir / "t0.csv"), tmp_path / "source.txt"
+    source.write_text(flatten_table(simple_gold("alpha", "beta")).raw)
+    replay = ["--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    argv = {
+        "extract": ["extract", "", *replay],
+        "check": ["check", "", "--source", str(source)],
+        "eval": ["eval", "", gold] if name == "pred" else ["eval", gold, ""],
+        "bench": [*bench_argv("" if name == "dir" else data_dir, cache_dir, tmp_path / "report.json"),
+                  *(["--report", ""] if name == "--report" else [])],
+    }[command]  # fmt: skip
+    monkeypatch.chdir(data_dir)
+
+    def no_read(path):
+        raise AssertionError(f"read {path!r}")
+
+    monkeypatch.setattr(bench, "read_text", no_read)
+    monkeypatch.setattr(bench, "ingest_dataset", no_read)
+    assert cli(argv) == 2
+    assert capsys.readouterr() == ("", f"tablex: {name} must be a non-empty path\n")
     assert not (tmp_path / "report.json").exists()
 
 

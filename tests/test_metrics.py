@@ -53,6 +53,17 @@ def test_em_shape_matters():
     assert exact_match(table_of([["a", "b"]]), table_of([["a"], ["b"]])) == 0
 
 
+def test_em_sees_spans():
+    """Equal grids whose cells sit in other columns or span otherwise are not
+    an exact match; the cell texts alone still agree."""
+    pred = table_of(body=[[("A", 2, 1), "1"], ["3"]], header=[["k", "v"]])
+    gold = table_of(body=[["A", "1"], [("3", 1, 2)]], header=[["k", "v"]])
+    assert exact_match(pred, gold) == exact_match(gold, pred) == 0
+    report = evaluate(pred, gold)
+    assert (report.em, report.ted, report.cvm, report.colvm) == (0, 0.0, 100.0, 0.0)
+    assert exact_match(pred, table_of(body=[[("A ", 2, 1), " 1"], ["3"]], header=[["k", "v"]])) == 1
+
+
 # ---------------------------------------------------------------------------
 # Tree edit distance
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ imported by the first live call, and request fingerprints use CPython's
 built-in SHA-256 rather than ``hashlib``, whose import loads OpenSSL's
 libcrypto through ``_hashlib``. So importing tablex, a replayed ``bench``
 and a record run whose every request is a cache hit leave both out of
-``sys.modules``. The pytest process already holds them, so each check runs
-in a fresh interpreter."""
+``sys.modules``, and a one-worker ``bench`` imports no thread pool. The
+pytest process already holds them, so each check runs in a fresh
+interpreter."""
 
 from __future__ import annotations
 
@@ -39,6 +40,26 @@ def test_replayed_bench_leaves_requests_unloaded(tmp_path):
     done = run_python(f"import sys; from tablex.cli import cli; code = cli(sys.argv[1:]); {LOADED}; print(code)", *argv)
     assert done.stdout == "False\n0\n", done.stderr
     assert (tmp_path / "report.json").is_file()
+
+
+def test_one_worker_bench_starts_no_thread_pool(tmp_path):
+    """A replayed one-worker ``bench`` runs its tasks on the calling thread
+    and never imports ``concurrent.futures``; at ``--parallel 2`` the pool
+    does, and its threads are joined before ``cli`` returns."""
+    data_dir, cache_dir = record_dataset(tmp_path, [([["n", "w"]], [["1", "a"], ["2", "b"]])] * 2)
+    code = """
+import sys, threading
+from tablex.cli import cli
+code = cli(sys.argv[1:])
+print(code, 'concurrent.futures' in sys.modules, threading.active_count())
+"""
+    for parallel, pooled in (("1", False), ("2", True)):
+        out = tmp_path / f"p{parallel}"
+        argv = ["bench", str(data_dir), "--format", "csv", "--replay", "--cache-dir", str(cache_dir),
+                "--report", str(out / "report.json"), "--outputs", str(out / "tasks"), "--parallel", parallel]  # fmt: skip
+        done = run_python(code, *argv)
+        assert done.stdout == f"0 {pooled} 1\n", done.stderr
+    assert (tmp_path / "p1" / "report.json").read_bytes() == (tmp_path / "p2" / "report.json").read_bytes()
 
 
 def test_record_run_of_cache_hits_leaves_requests_unloaded(tmp_path):
