@@ -177,6 +177,8 @@ def _run_task(task: Task, cfg: PipelineConfig, timeout: float | None, outputs: s
                 critic=_DeadlineBackend(cfg.critic, deadline),
             )
         result = run_ten(SourceText(task.source.raw), cfg)
+        if timeout is not None and time.monotonic() > deadline:
+            raise TaskTimeout("the task's deadline passed before scoring")
         # the checker already scored the final table against the source
         metrics = replace(
             evaluate(result.final, task.gold),
@@ -209,8 +211,8 @@ def run_bench(
     Per-task failures (transport errors, replay misses, timeouts) are
     recorded on the task and never abort the batch; they score EM 0 and are
     excluded from the other metric means. ``per_task_timeout`` counts from
-    when a worker starts the task; a backend call made after it fails the
-    task, while a call already in progress runs to its end.
+    when a worker starts the task; a backend call or scoring begun after it
+    fails the task, while a call or a check in progress runs to its end.
 
     A task's ``PipelineResult`` and its source's token caches live only in
     the worker that runs it, so the batch holds one of each per running task,

@@ -60,7 +60,7 @@ class StoreWriteFailure(TablexError):
 
 
 class TaskTimeout(TablexError):
-    """A task's deadline passed before one of its backend calls."""
+    """A task's deadline passed before one of its backend calls, or before its scoring."""
 
 
 class NoCandidateProduced(TablexError):

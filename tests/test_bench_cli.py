@@ -14,6 +14,7 @@ import tablex.bench as bench
 import tablex.cli as cli_module
 import tablex.checker as checker
 import tablex.metrics as metrics
+import tablex.pipeline as pipeline
 from tablex.bench import ingest_dataset, run_bench, write_task_outputs
 from tablex.cli import _pipeline_config, build_parser, cli
 from tablex.errors import NoTasksFound, UnreadableFile
@@ -350,6 +351,34 @@ def test_bench_timeout_counts_from_task_start(tmp_path):
     assert time.perf_counter() - started < 2.0
     assert [o.error for o in report.per_task] == ["timeout", None, None]
     assert [o.converged for o in report.per_task] == [False, True, True]
+
+
+def test_bench_timeout_bounds_scoring(tmp_path, monkeypatch, capsys):
+    """A task whose last check ends past its deadline, after its last
+    backend call, times out before it is scored; the batch goes on, and
+    ``bench`` exits 1."""
+    data_dir, cache_dir = seed_dataset(tmp_path)
+    tasks = ingest_dataset(data_dir, "csv")[:2]
+    check = pipeline.run_sanity_check
+
+    def slow_first_check(source, table, *args, **kwargs):
+        if source.raw == tasks[0].source.raw:
+            time.sleep(0.2)
+        return check(source, table, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_sanity_check", slow_first_check)
+    backend = ScriptedBackend([envelope(task.gold) for task in tasks])
+    report = run_bench(tasks, PipelineConfig(generator=backend, critic=backend), per_task_timeout=0.05)
+    assert len(backend.calls) == 2  # one generation per task, each before its deadline
+    assert [(o.error, o.metrics is None, o.converged) for o in report.per_task] == [
+        ("timeout", True, False),
+        (None, False, True),
+    ]
+    replay = ["--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
+    argv = ["bench", str(data_dir), "--format", "csv", "--report", str(tmp_path / "report.json"), *replay]
+    assert cli([*argv, "--timeout", "0.05"]) == 1
+    errors = [o["error"] for o in json.loads((tmp_path / "report.json").read_text())["per_task"]]
+    assert errors == ["timeout", None, None, None]
 
 
 def test_write_task_outputs(tmp_path):
