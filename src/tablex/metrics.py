@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from operator import eq, itemgetter
 from typing import Sequence
@@ -66,52 +66,31 @@ def _levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     return line[-1]
 
 
-def _row_forest_distance(rows_a: Sequence[Sequence[str]], rows_b: Sequence[Sequence[str]], bound: int) -> int:
-    """Ordered edit distance, at most ``bound``, between two non-empty forests of rows, unit costs.
+def _row_forest_distance(rows_a: Sequence[Sequence[str]], rows_b: Sequence[Sequence[str]]) -> int:
+    """Ordered edit distance between two forests of rows, unit costs.
     Row nodes share one label, which no cell leaf (labelled by its text) has.
 
-    One Zhang-Shasha forest DP over the postorder prefixes (each row's cells, then the row node):
-    fd[x][y] = min(fd[x-1][y] + 1, fd[x][y-1] + 1, fd[left(x)-1][left(y)-1] + td(x, y)), where left(x)
-    is the first node of x's subtree. td has a closed form per pair of node kinds: [labels differ] for
-    two cells; k + [label not among the row's cells] for a cell against a row of k cells (the cell maps
-    to the row's best node, the rest is inserted), either way round; the Levenshtein distance of the
-    cells for two rows. One DP line per A node, ``last`` being fd[x][y-1]; ``base`` is the line at the
-    last A row boundary, which an A row node reads as fd[left(x)-1].
-
-    Line x holds only the B rows meeting the band x - below <= y <= x + above, from ``lo``, the position
-    before the first; other cells read as ``cap``. A derivation step costs at least its change to x - y,
-    so an optimal derivation keeps |x - y| + |nA - nB - (x - y)| <= bound, inside the band, and is
-    computed exactly, while every value computed is at least min(its true value, cap).
+    One Zhang-Shasha forest DP over the postorder prefixes (each row's
+    cells, then the row node): fd[x][y] = min(fd[x-1][y] + 1,
+    fd[x][y-1] + 1, fd[left(x)-1][left(y)-1] + td(x, y)), where left(x) is
+    the first node of x's subtree. td has a closed form per pair of node
+    kinds: [labels differ] for two cells; k + [label not among the row's
+    cells] for a cell against a row of k cells (the cell maps to the row's
+    best node, the rest is inserted), either way round; the Levenshtein
+    distance of the cells for two rows. One DP line per A node, ``last``
+    being fd[x][y-1]; ``base`` is the line at the last A row boundary,
+    which an A row node reads as fd[left(x)-1].
     """
     b_rows, start = [], 0
     for row in rows_b:
         b_rows.append((row, start, len(row), set(row)))
         start += len(row) + 1
-    excess = sum(map(len, rows_a)) + len(rows_a) - start  # nA - nB
-    cap, below, above = bound + 1, (bound + excess) // 2, (bound - excess) // 2
     prev = base = list(range(start + 1))
-    prev_lo = base_lo = first = stop = x = 0  # b_rows[first:stop] meet line x's band
-
-    def band() -> tuple[list[int], int]:
-        """Move the band to the next line, pad ``prev`` and ``base`` with ``cap`` to its end, and start it."""
-        nonlocal first, stop, x
-        x += 1
-        while b_rows[first][1] + b_rows[first][2] + 1 < x - below:
-            first += 1
-        while stop < len(b_rows) and b_rows[stop][1] < x + above:
-            stop += 1
-        _, start, width, _ = b_rows[stop - 1]
-        for line, lo in ((prev, prev_lo), (base, base_lo)):
-            line += [cap] * (start + width + 2 - lo - len(line))
-        lo = b_rows[first][1]
-        return [x if lo == 0 else cap], lo
-
     for row_a in rows_a:
         for text in row_a:
-            line, lo = band()
+            line = [prev[0] + 1]
             append, last = line.append, line[0]
-            for row, start, width, members in b_rows[first:stop]:
-                start -= prev_lo
+            for row, start, width, members in b_rows:
                 corner = diag = prev[start]
                 for label, up in zip(row, prev[start + 1 : start + width + 1]):
                     last = (up if up < last else last) + 1
@@ -124,23 +103,22 @@ def _row_forest_distance(rows_a: Sequence[Sequence[str]], rows_b: Sequence[Seque
                 corner += width + (text not in members)  # cell/row
                 last = corner if corner < last else last
                 append(last)
-            prev, prev_lo = line, lo
-        line, lo = band()
+            prev = line
         width_a, members_a = len(row_a), set(row_a)
+        line = [prev[0] + 1]
         append, last = line.append, line[0]
-        for row, start, width, members in b_rows[first:stop]:
-            up_at, base_at = start + 1 - prev_lo, start - base_lo
-            for label, up, diag in zip(row, prev[up_at : up_at + width], base[base_at : base_at + width]):
+        for row, start, width, members in b_rows:
+            for label, up, diag in zip(row, prev[start + 1 : start + width + 1], base[start : start + width]):
                 last = (up if up < last else last) + 1
                 diag += width_a + (label not in members_a)  # row/cell
                 last = diag if diag < last else last
                 append(last)
-            up = prev[up_at + width]
+            up = prev[start + width + 1]
             last = (up if up < last else last) + 1
-            corner = base[base_at] + _levenshtein(row_a, row)  # row/row
+            corner = base[start] + _levenshtein(row_a, row)  # row/row
             last = corner if corner < last else last
             append(last)
-        prev, prev_lo = base, base_lo = line, lo
+        prev = base = line
     return prev[-1]
 
 
@@ -194,7 +172,7 @@ def tree_edit_distance(pred: Table, gold: Table, *, grids: _Grids | None = None)
     rows_a, rows_b = rows_a[head : len(rows_a) - tail], rows_b[head : len(rows_b) - tail]
     distance = _row_script_cost(rows_a, rows_b)
     if distance > _label_bound(rows_a, rows_b):
-        distance = _row_forest_distance(rows_a, rows_b, distance)
+        distance = _row_forest_distance(rows_a, rows_b)
     return distance / max(table_node_count(pred), table_node_count(gold))
 
 
@@ -259,7 +237,7 @@ class MetricReport:
     hallucination: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # numbers only, so no deep copy
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -363,12 +363,12 @@ def test_bench_timeout_bounds_scoring(tmp_path, monkeypatch, capsys):
 
     def slow_first_check(source, table, *args, **kwargs):
         if source.raw == tasks[0].source.raw:
-            time.sleep(0.2)
+            time.sleep(1.5)
         return check(source, table, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_sanity_check", slow_first_check)
     backend = ScriptedBackend([envelope(task.gold) for task in tasks])
-    report = run_bench(tasks, PipelineConfig(generator=backend, critic=backend), per_task_timeout=0.05)
+    report = run_bench(tasks, PipelineConfig(generator=backend, critic=backend), per_task_timeout=0.5)
     assert len(backend.calls) == 2  # one generation per task, each before its deadline
     assert [(o.error, o.metrics is None, o.converged) for o in report.per_task] == [
         ("timeout", True, False),
@@ -376,7 +376,7 @@ def test_bench_timeout_bounds_scoring(tmp_path, monkeypatch, capsys):
     ]
     replay = ["--replay", "--cache-dir", str(cache_dir), "--model", MODEL]
     argv = ["bench", str(data_dir), "--format", "csv", "--report", str(tmp_path / "report.json"), *replay]
-    assert cli([*argv, "--timeout", "0.05"]) == 1
+    assert cli([*argv, "--timeout", "0.5"]) == 1
     errors = [o["error"] for o in json.loads((tmp_path / "report.json").read_text())["per_task"]]
     assert errors == ["timeout", None, None, None]
 

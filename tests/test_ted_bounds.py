@@ -1,14 +1,14 @@
-"""The tree edit distance's label-count lower bound, row-script upper bound
-and banded forest DP (``tablex.metrics``) against the full row-forest DP
-they replaced (``tests/reference_row_forest.py``) and the keyroot
-reference (``tests/ted_reference.py``).
+"""The tree edit distance's label-count lower bound and row-script upper
+bound (``tablex.metrics``) against the row-forest DP that runs when they
+differ, and against the keyroot reference (``tests/ted_reference.py``).
 
 The seeded pairs are edits that move cells between rows, which the lower
-bound cannot see, so the banded DP runs: a row split in two, two rows
-merged, two rows swapped, a cell moved to the next row. Pairs with a
-ragged row, an empty row or a spanning cell, where the bounds meet, ride
+bound cannot see, so the DP runs: a row split in two, two rows merged, two
+rows swapped, a cell moved to the next row. Pairs with a ragged row, an
+empty row or a spanning cell, where the bounds meet and no DP runs, ride
 along. Small pairs are checked against the keyroot reference; both-ends
-pairs of 100-300 rows, where nothing can be stripped, against the full DP.
+pairs of 100-200 rows, where nothing can be stripped, against the DP run
+on the whole grids.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tablex.metrics as metrics
-from tablex.metrics import _grid, _label_bound, _row_script_cost, table_node_count, tree_edit_distance
+from tablex.metrics import _grid, _label_bound, _row_forest_distance, _row_script_cost, table_node_count
+from tablex.metrics import tree_edit_distance
 from tablex.model import Table
 
-import reference_row_forest
 from ted_reference import tree_edit_distance as keyroot_tree_edit_distance
 from test_acceptance import _ted_smoke_grid
 
 EDITS = ("split", "merge", "swap", "move", "ragged", "empty", "span")
+MOVES = EDITS[:4]  # edits that move cells between rows
 
 
 def _edited(rng: random.Random, rows: list[list], kind: str, at: int) -> list[list]:
@@ -64,21 +65,25 @@ def _rows(rng: random.Random, n: int, width: int, alphabet: str) -> list[list[st
     return [[f"{rng.choice(alphabet)}{rng.randint(0, 3)}" for _ in range(width)] for _ in range(n)]
 
 
-def _band_calls(monkeypatch) -> list[int]:
-    """Record the bound of every banded DP that ``tree_edit_distance`` runs."""
+def _dp_calls(monkeypatch) -> list[int]:
+    """Record the node count of the A side of every DP that ``tree_edit_distance`` runs."""
     calls: list[int] = []
-    banded = metrics._row_forest_distance
 
-    def counted(rows_a, rows_b, bound):
-        calls.append(bound)
-        return banded(rows_a, rows_b, bound)
+    def counted(rows_a, rows_b):
+        calls.append(sum(map(len, rows_a)) + len(rows_a))
+        return _row_forest_distance(rows_a, rows_b)
 
     monkeypatch.setattr(metrics, "_row_forest_distance", counted)
     return calls
 
 
+def _dp_distance(pred: Table, gold: Table) -> float:
+    """The normalized distance by the DP alone, on the whole grids."""
+    return _row_forest_distance(_grid(pred), _grid(gold)) / max(table_node_count(pred), table_node_count(gold))
+
+
 def test_small_edited_pairs_match_keyroot_reference(monkeypatch):
-    calls = _band_calls(monkeypatch)
+    calls = _dp_calls(monkeypatch)
     rng = random.Random(35)
     pairs = by_bound = 0
     for i in range(700):
@@ -94,35 +99,25 @@ def test_small_edited_pairs_match_keyroot_reference(monkeypatch):
             pairs += 1
         by_bound += len(calls) == before
     assert pairs == 1400
-    assert len(calls) >= 300, len(calls)  # the band ran
+    assert len(calls) >= 300, len(calls)  # the bounds differed, and the DP ran
     assert by_bound >= 100, by_bound  # the bounds met, and no DP ran
 
 
 @pytest.mark.parametrize("kind", EDITS)
-def test_both_ends_pairs_match_full_dp(monkeypatch, kind):
+def test_both_ends_pairs(monkeypatch, kind):
     """Edited near the first and the last row, so stripping removes almost
-    nothing, on 100-300 rows: the band must agree with the full DP."""
-    calls = _band_calls(monkeypatch)
+    nothing, on 100-200 rows. Lost cells, a relabelled span and an added
+    empty row leave the bounds equal, and their distance is the DP's; cells
+    that change rows escape the lower bound, so the DP runs."""
     rng = random.Random(kind)
-    n = 100 + 50 * EDITS.index(kind) % 250
+    n = 100 + 50 * EDITS.index(kind) % 150
     gold = _rows(rng, n, 3, "abcdef")
     pred = _edited(rng, _edited(rng, gold, kind, 1), kind, n - 3)
     a, b = _table(pred, kind), _table(gold, kind)
+    calls = _dp_calls(monkeypatch)
     for x, y in ((a, b), (b, a)):
-        assert tree_edit_distance(x, y) == reference_row_forest.tree_edit_distance(x, y)
-    # cells that change rows escape the lower bound; lost cells and an added empty row do not
-    assert bool(calls) == (kind in ("split", "merge", "swap", "move")), (kind, calls)
-
-
-def test_band_matches_full_dp_at_any_bound_above_the_distance():
-    rng = random.Random(3)
-    for _ in range(300):
-        rows_a = _rows(rng, rng.randint(1, 6), rng.randint(0, 3), "abc")
-        rows_b = _edited(rng, rows_a, EDITS[rng.randrange(len(EDITS) - 1)], rng.randrange(len(rows_a)))
-        rows_b = [[cell for cell in row if isinstance(cell, str)] for row in rows_b]
-        distance = reference_row_forest._row_forest_distance(rows_a, rows_b)
-        for bound in (distance, distance + 1, distance + 7, _row_script_cost(rows_a, rows_b)):
-            assert metrics._row_forest_distance(rows_a, rows_b, bound) == distance, (rows_a, rows_b, bound)
+        assert tree_edit_distance(x, y) == _dp_distance(x, y)
+    assert bool(calls) == (kind in MOVES), (kind, calls)
 
 
 _labelled_rows = st.lists(st.lists(st.sampled_from(["a", "b", "c", "", "d1"]), max_size=4), max_size=6)
@@ -137,14 +132,14 @@ def test_bounds_hold_the_distance(rows_a, rows_b):
     a, b = Table.from_rows(body=rows_a, normalized=False), Table.from_rows(body=rows_b, normalized=False)
     assert (_grid(a), _grid(b)) == (rows_a, rows_b)
     distance = round(tree_edit_distance(a, b) * max(table_node_count(a), table_node_count(b)))
-    assert distance == reference_row_forest._row_forest_distance(rows_a, rows_b)
+    assert distance == _row_forest_distance(rows_a, rows_b)
     assert _label_bound(rows_a, rows_b) <= distance <= _row_script_cost(rows_a, rows_b)
 
 
 def test_thousand_rows_one_dropped_one_edited_is_width_plus_two(monkeypatch):
     """Dropping a 10-cell row costs 11, relabelling one cell 1. Both bounds
-    give 12 and no DP runs; the band at that bound agrees."""
-    calls = _band_calls(monkeypatch)
+    give 12, and no DP runs."""
+    calls = _dp_calls(monkeypatch)
     gold = _ted_smoke_grid(1000)
     pred = [list(row) for row in gold]
     del pred[1 + 1000 // 2]
@@ -157,4 +152,3 @@ def test_thousand_rows_one_dropped_one_edited_is_width_plus_two(monkeypatch):
     assert ted == 12 / table_node_count(gold_table)
     assert elapsed < 0.5, f"tree_edit_distance took {elapsed:.2f}s"
     assert calls == []
-    assert metrics._row_forest_distance(pred[1:], gold[1:], 12) == 12
